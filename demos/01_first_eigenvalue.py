@@ -10,7 +10,6 @@ finite-element discretization, and closes the loop with a Rayleigh quotient.
 from sl_extremal import (
     Potential,
     RobinBC,
-    SolverConfig,
     StepPotential,
     lambda1,
     lambda1_fd,
@@ -22,7 +21,7 @@ bc = RobinBC(k0sq=1.0, k1sq=4.0)
 
 print("== zero potential ==")
 print(f"characteristic-equation value: {lambda1_zero(bc):.12f}")
-res = lambda1(StepPotential.constant(0.0), bc, SolverConfig(ode_steps_per_cell=1024))
+res = lambda1(StepPotential.constant(0.0), bc)
 print(f"shooting value:                {res.lambda1:.12f}")
 print(f"residual {res.residual:.2e}, bracket width {res.bracket[1] - res.bracket[0]:.2e}")
 

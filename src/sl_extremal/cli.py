@@ -88,7 +88,6 @@ def _bc(args) -> RobinBC:
 def _config(args) -> SolverConfig:
     try:
         return SolverConfig(
-            ode_steps_per_cell=args.steps_per_cell,
             theta_tolerance=args.theta_tol,
             max_bracket_expansions=args.max_expansions,
         )
@@ -125,7 +124,6 @@ def _add_bc_options(p):
 
 
 def _add_solver_options(p):
-    p.add_argument("--steps-per-cell", type=int, default=DEFAULT_CONFIG.ode_steps_per_cell)
     p.add_argument("--theta-tol", type=float, default=DEFAULT_CONFIG.theta_tolerance)
     p.add_argument(
         "--max-expansions", type=int, default=DEFAULT_CONFIG.max_bracket_expansions

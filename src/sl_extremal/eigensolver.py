@@ -8,8 +8,15 @@ y' = rho cos(theta), the angle obeys
 
 theta(0) = arccot(k0^2), and lambda_1 is the unique lambda at which theta(1)
 first reaches pi - arccot(k1^2); theta(1; lambda) is strictly increasing in
-lambda.  A point mass w * delta(x - site) integrates to the jump
-cot(theta+) = cot(theta-) - w taken inside the same pi-period.
+lambda.  On a cell where c = lambda + q is constant, y'' + c y = 0 has a
+closed-form solution, so the angle is advanced exactly (Pruess, SIAM J.
+Numer. Anal. 10, 1973; Pryce, "Numerical Solution of Sturm-Liouville
+Problems", 1993): for c > 0 the scaled angle atan2(sqrt(c) y, y') grows by
+sqrt(c) * length, and for c <= 0 (y, y') maps through cosh/sinh.  A point
+mass w * delta(x - site) integrates to the jump cot(theta+) = cot(theta-) - w
+taken inside the same pi-period.  theta(1; lambda) is thus exact up to
+rounding for every step + delta potential, and lambda_1 is found by bracket
+doubling plus Illinois regula falsi, which keeps a sign-change bracket.
 
 An independent P1 finite-element discretization of the associated quadratic
 form (``lambda1_fd``) serves as a cross-check, and ``lambda1_zero`` evaluates
@@ -77,13 +84,10 @@ class RobinBC:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    ode_steps_per_cell: int = 48
     theta_tolerance: float = 1e-10
     max_bracket_expansions: int = 60
 
     def __post_init__(self):
-        if self.ode_steps_per_cell < 16:
-            raise ValueError("ode_steps_per_cell must be >= 16")
         if not (self.theta_tolerance > 0):
             raise ValueError("theta_tolerance must be positive")
         if self.max_bracket_expansions < 1:
@@ -115,60 +119,72 @@ class EigenResult:
         return out
 
 
-# --- phase integration -----------------------------------------------------
+# --- exact phase propagation -----------------------------------------------
 
-def _segments(pot: Potential) -> tuple[list[tuple[float, float]], dict[float, float]]:
+_LN2 = math.log(2.0)
+
+
+def _segments(pot: Potential) -> tuple[list[tuple[float, float, float, float]], float]:
     """Split [0,1] at step breakpoints and delta sites.
 
-    Returns (cells, jumps): cells is a list of (length, height) in order and
-    jumps maps a boundary coordinate to the total point mass sitting there.
+    Returns (cells, w0): cells lists (right, length, height, w) in order, where
+    w is the point mass at the cell's right end (0.0 if none), and w0 is the
+    point mass at x = 0.
     """
-    step = pot.step
-    bounds = set(float(x) for x in step.breakpoints)
-    jumps: dict[float, float] = {}
+    bps = pot.step.breakpoints.tolist()
+    heights = pot.step.heights.tolist()
+    masses: dict[float, float] = {}
     for d in pot.deltas:
-        bounds.add(float(d.site))
-        jumps[float(d.site)] = jumps.get(float(d.site), 0.0) + d.weight
-    grid = sorted(bounds)
+        masses[float(d.site)] = masses.get(float(d.site), 0.0) + d.weight
+    grid = sorted(set(bps) | set(masses))
     cells = []
+    i = 0  # the step cell [bps[i], bps[i + 1]) that holds [a, b]
     for a, b in zip(grid[:-1], grid[1:]):
-        cells.append((b - a, step.value_at(0.5 * (a + b))))
-    return list(zip(grid[1:], cells)), jumps
+        while bps[i + 1] <= a:
+            i += 1
+        cells.append((b, b - a, heights[i], masses.get(b, 0.0)))
+    return cells, masses.get(0.0, 0.0)
 
 
-def _segment_steps(length: float, c: float, floor: int) -> int:
-    # Resolution scales with the local frequency sqrt(|c|); the |c| term keeps
-    # fixed-step RK4 inside its stability region on stiff (very negative or
-    # very tall) cells.
-    rate = 2.0 + 12.0 * math.sqrt(abs(c)) + 0.45 * abs(c)
-    need = int(math.ceil(length * rate))
-    return need if need > floor else floor
+def _cell(theta: float, c: float, length: float, amplitude: bool = False):
+    """Exact Prufer update across a cell of length ``length`` on which
+    y'' + c y = 0.
 
-
-def _rk4_theta(theta: float, c: float, length: float, nsteps: int) -> float:
-    h = length / nsteps
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    sin = math.sin
-    cos = math.cos
-    for _ in range(nsteps):
-        s = sin(theta)
-        co = cos(theta)
-        k1 = co * co + c * s * s
-        t = theta + h2 * k1
-        s = sin(t)
-        co = cos(t)
-        k2 = co * co + c * s * s
-        t = theta + h2 * k2
-        s = sin(t)
-        co = cos(t)
-        k3 = co * co + c * s * s
-        t = theta + h * k3
-        s = sin(t)
-        co = cos(t)
-        k4 = co * co + c * s * s
-        theta += h6 * (k1 + 2.0 * (k2 + k3) + k4)
-    return theta
+    Returns the angle at the right end, or with ``amplitude`` the pair
+    (angle, log(rho_right / rho_left)).  For c > 0 the scaled angle
+    atan2(sqrt(c) y, y') advances by exactly sqrt(c) * length.  For c <= 0,
+    (y, y') maps through cosh/sinh (the straight line at c = 0), divided by
+    cosh so nothing overflows; such a solution vanishes at most once, so the
+    sign of the new y picks the pi-period of the new angle.
+    """
+    j = math.floor(theta / math.pi)
+    t = theta - j * math.pi
+    y = math.sin(t)
+    dy = math.cos(t)
+    if c > 0.0:
+        k = math.sqrt(c)
+        phi = math.atan2(k * y, dy) + k * length
+        n = math.floor(phi / math.pi)
+        p = phi - n * math.pi
+        sp = math.sin(p)
+        kcp = k * math.cos(p)
+        theta = (j + n) * math.pi + math.atan2(sp, kcp)
+        if not amplitude:
+            return theta
+        # y = A sin(phi), y' = A k cos(phi) with A fixed across the cell
+        return theta, math.log(math.hypot(k * y, dy) * math.hypot(sp, kcp) / k)
+    kl = math.sqrt(-c) * length
+    s = length if kl == 0.0 else length * math.tanh(kl) / kl
+    y1 = y + dy * s
+    dy1 = dy - c * s * y
+    if y1 < 0.0:  # the solution crossed zero inside the cell
+        theta = (j + 1) * math.pi + math.atan2(-y1, -dy1)
+    else:
+        theta = j * math.pi + math.atan2(abs(y1), dy1)
+    if not amplitude:
+        return theta
+    log_cosh = kl + math.log1p(math.exp(-2.0 * kl)) - _LN2
+    return theta, math.log(math.hypot(y1, dy1)) + log_cosh
 
 
 def _delta_jump(theta: float, w: float) -> float:
@@ -185,35 +201,28 @@ def _delta_jump(theta: float, w: float) -> float:
     return k * math.pi + phi_new
 
 
-def _theta_end_prepared(cells, jumps, theta0, lam, cfg) -> float:
-    theta = theta0
-    w0 = jumps.get(0.0)
-    if w0 is not None:
-        theta = _delta_jump(theta, w0)
-    floor = cfg.ode_steps_per_cell
-    for right, (length, height) in cells:
-        c = lam + height
-        theta = _rk4_theta(theta, c, length, _segment_steps(length, c, floor))
-        w = jumps.get(right)
-        if w is not None:
+def _theta_end_prepared(cells, w0, theta0, lam) -> float:
+    theta = _delta_jump(theta0, w0) if w0 else theta0
+    for _, length, height, w in cells:
+        theta = _cell(theta, lam + height, length)
+        if w:
             theta = _delta_jump(theta, w)
     return theta
 
 
-def theta_end(q, bc: RobinBC, lam: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+def theta_end(q, bc: RobinBC, lam: float) -> float:
     """Prufer angle theta(1; lambda) for the shooting problem.
 
-    Integrates theta' = cos^2(theta) + (lambda + q) sin^2(theta) from
-    theta(0) = arccot(k0^2) with classical fixed-step RK4 on each constant
-    cell (at least cfg.ode_steps_per_cell steps per cell) and the cotangent
-    jump rule at point masses.
+    Propagates theta' = cos^2(theta) + (lambda + q) sin^2(theta) from
+    theta(0) = arccot(k0^2) with the closed-form solution on each constant
+    cell and the cotangent jump rule at point masses, so the value is exact
+    up to rounding.
     """
-    pot = as_potential(q)
-    cells, jumps = _segments(pot)
-    return _theta_end_prepared(cells, jumps, bc.theta_start, lam, cfg)
+    cells, w0 = _segments(as_potential(q))
+    return _theta_end_prepared(cells, w0, bc.theta_start, lam)
 
 
-# --- eigenvalue via bracketed bisection ------------------------------------
+# --- eigenvalue via a bracketed Illinois iteration -------------------------
 
 def lambda1(
     q,
@@ -226,18 +235,24 @@ def lambda1(
     """First eigenvalue of the problem, found by shooting.
 
     theta(1; lambda) is strictly increasing in lambda, so the equation
-    theta(1; lambda) = pi - arccot(k1^2) has exactly one solution; it is
+    theta(1; lambda) = pi - arccot(k1^2) has exactly one solution.  It is
     enclosed by doubling the bracket outward from [-1, 1] (or from
-    ``bracket_hint``) and then bisected.  Raises BracketNotFound after
-    cfg.max_bracket_expansions doublings.
+    ``bracket_hint``) and then located by Illinois regula falsi, which keeps
+    theta(1; lo) < target <= theta(1; hi) at every step, falls back to
+    bisection whenever two steps fail to halve the bracket, and stops once
+    the bracket is at most 1e-13 * max(1, |lo|, |hi|) wide with a residual
+    within cfg.theta_tolerance.  The returned eigenvalue is the bracket end
+    with the smaller residual |theta(1; lambda) - target|; as theta is exact,
+    the residual measures only the root-finding error.  Raises
+    BracketNotFound after cfg.max_bracket_expansions doublings.
     """
     pot = as_potential(q)
-    cells, jumps = _segments(pot)
+    cells, w0 = _segments(pot)
     theta0 = bc.theta_start
     target = bc.theta_target
 
     def f(lam: float) -> float:
-        return _theta_end_prepared(cells, jumps, theta0, lam, cfg) - target
+        return _theta_end_prepared(cells, w0, theta0, lam) - target
 
     if bracket_hint is not None:
         lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
@@ -254,39 +269,54 @@ def lambda1(
             raise BracketNotFound(
                 f"no lower bracket endpoint after {expansions} expansions"
             )
-        lo -= hi - lo
+        lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
         f_lo = f(lo)
         expansions += 1
-    while f_hi <= 0.0:
+    while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
         if expansions >= cfg.max_bracket_expansions:
             raise BracketNotFound(
                 f"no upper bracket endpoint after {expansions} expansions"
             )
-        hi += hi - lo
+        lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
         f_hi = f(hi)
         expansions += 1
 
+    # g_lo, g_hi are the secant weights: the value at an end kept twice in a
+    # row is halved (the Illinois rule), so both ends close in superlinearly.
     iterations = expansions
+    g_lo, g_hi, side = f_lo, f_hi, 0
+    width_1 = width_2 = fx = math.inf
     for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        width = hi - lo
+        tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+        if width <= tol and abs(fx) <= cfg.theta_tolerance:
             break
-        fm = f(mid)
-        iterations += 1
-        if fm < 0.0:
-            lo = mid
+        if width <= tol or width > 0.5 * width_2:
+            x = 0.5 * (lo + hi)
         else:
-            hi = mid
-        lam_tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-        if (hi - lo) <= lam_tol and abs(fm) <= cfg.theta_tolerance:
+            x = hi - g_hi * width / (g_hi - g_lo)
+            x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
+        width_2, width_1 = width_1, width
+        if not lo < x < hi:
             break
+        fx = f(x)
+        iterations += 1
+        if fx < 0.0:
+            lo, f_lo, g_lo = x, fx, fx
+            if side < 0:
+                g_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi, g_hi = x, fx, fx
+            if side > 0:
+                g_lo *= 0.5
+            side = 1
 
-    lam = 0.5 * (lo + hi)
-    residual = abs(f(lam))
+    lam, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
 
     samples = None
     if eigenfunction_samples is not None:
-        samples = _eigenfunction(pot, bc, lam, cfg, eigenfunction_samples)
+        samples = _eigenfunction(cells, w0, theta0, lam, eigenfunction_samples)
 
     return EigenResult(
         lambda1=lam,
@@ -297,80 +327,39 @@ def lambda1(
     )
 
 
-def _rk4_theta_logrho(theta, logrho, c, length, nsteps):
-    h = length / nsteps
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    sin = math.sin
-    cos = math.cos
-    onemc = 1.0 - c
-    for _ in range(nsteps):
-        s = sin(theta)
-        co = cos(theta)
-        k1 = co * co + c * s * s
-        g1 = onemc * s * co
-        t = theta + h2 * k1
-        s = sin(t)
-        co = cos(t)
-        k2 = co * co + c * s * s
-        g2 = onemc * s * co
-        t = theta + h2 * k2
-        s = sin(t)
-        co = cos(t)
-        k3 = co * co + c * s * s
-        g3 = onemc * s * co
-        t = theta + h * k3
-        s = sin(t)
-        co = cos(t)
-        k4 = co * co + c * s * s
-        g4 = onemc * s * co
-        theta += h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        logrho += h6 * (g1 + 2.0 * (g2 + g3) + g4)
-    return theta, logrho
+def _eigenfunction(cells, w0, theta0, lam, n_samples):
+    """Sample y on the uniform grid j/n_samples at the eigenvalue ``lam``.
 
-
-def _eigenfunction(pot, bc, lam, cfg, n_samples):
-    """Sample y on the uniform grid j/n_samples at the converged eigenvalue."""
+    (y, y') is carried as the angle and log(rho), propagated exactly from
+    sample to sample with the same per-cell update as the shooting; at a
+    point mass y is continuous, so log(rho) absorbs the change of sin(theta).
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 sample intervals")
-    cells, jumps = _segments(pot)
-    sample_xs = [j / n_samples for j in range(n_samples + 1)]
-    cuts = sorted(set(x for x, _ in cells) | set(sample_xs))
-    wanted = set(sample_xs)
-
-    theta = bc.theta_start
-    logrho = 0.0
-    w0 = jumps.get(0.0)
-    if w0 is not None:
-        theta = _delta_jump(theta, w0)
+    theta = _delta_jump(theta0, w0) if w0 else theta0
+    log_rho = 0.0
     out = [(0.0, math.sin(theta))]
-
-    cell_iter = iter(cells)
-    right, (length, height) = next(cell_iter)
-    floor = cfg.ode_steps_per_cell
-    prev = 0.0
-    for x in cuts:
-        if x == 0.0:
-            continue
-        seg = x - prev
+    x = 0.0
+    j = 1
+    for right, _, height, w in cells:
         c = lam + height
-        frac = seg / length if length > 0 else 1.0
-        nsteps = max(2, int(math.ceil(_segment_steps(length, c, floor) * frac)))
-        theta, logrho = _rk4_theta_logrho(theta, logrho, c, seg, nsteps)
-        prev = x
-        if x == right:
-            w = jumps.get(right)
-            if w is not None:
-                s_before = math.sin(theta)
-                theta = _delta_jump(theta, w)
-                s_after = math.sin(theta)
-                if s_before != 0.0 and s_after != 0.0:
-                    logrho += math.log(abs(s_before / s_after))
-            nxt = next(cell_iter, None)
-            if nxt is not None:
-                right, (length, height) = nxt
-        if x in wanted:
-            out.append((x, math.exp(logrho) * math.sin(theta)))
+        while j <= n_samples and j / n_samples <= right:
+            xs = j / n_samples
+            theta, gain = _cell(theta, c, xs - x, amplitude=True)
+            log_rho += gain
+            x = xs
+            out.append((x, math.exp(log_rho) * math.sin(theta)))
+            j += 1
+        if right > x:
+            theta, gain = _cell(theta, c, right - x, amplitude=True)
+            log_rho += gain
+            x = right
+        if w:
+            s_before = math.sin(theta)
+            theta = _delta_jump(theta, w)
+            s_after = math.sin(theta)
+            if s_before != 0.0 and s_after != 0.0:
+                log_rho += math.log(abs(s_before / s_after))
 
     peak = max(abs(y) for _, y in out)
     if peak == 0.0:

@@ -23,10 +23,8 @@ direct coordinate search on the constraint manifold.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import math
-import os
 
 import numpy as np
 
@@ -109,25 +107,6 @@ class UnboundednessTable:
 
     def to_dicts(self) -> list[dict]:
         return [r.to_dict() for r in self.rows]
-
-
-def _worker_count(n_items: int) -> int:
-    cap = os.environ.get("SL_EXTREMAL_THREADS", "1")
-    try:
-        cap_val = max(1, int(cap))
-    except ValueError:
-        cap_val = 1
-    return max(1, min(cap_val, n_items))
-
-
-def _map_ordered(fn, items):
-    """Apply fn preserving order; threads only when SL_EXTREMAL_THREADS > 1."""
-    items = list(items)
-    workers = _worker_count(len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- the explicit families ---------------------------------------------------
@@ -299,7 +278,7 @@ def verify_thm2(
         lam = lambda1(q, bc, cfg).lambda1
         return TableRow(float(n), lam, lam0, lam0 - lam)
 
-    rows = _map_ordered(row, ns)
+    rows = [row(n) for n in ns]
     for r in rows:
         if r.lambda1 > lam0 + ceiling_tol:
             raise VerificationError(
@@ -395,7 +374,7 @@ def verify_thm1(
         }
         return TableRow(level, lam, reference, reference - lam), detail
 
-    results = _map_ordered(row, levels)
+    results = [row(level) for level in levels]
     rows = tuple(r for r, _ in results)
     details = tuple(d for _, d in results)
     return UnboundednessTable(rows, details)

@@ -15,7 +15,6 @@ from sl_extremal import (
     Potential,
     RobinBC,
     SignedMeasure,
-    SolverConfig,
     StepPotential,
     lambda1,
     lambda1_fd,
@@ -97,15 +96,14 @@ def test_criterion_03_oracle_equivalence():
 
 def test_criterion_04_zero_potential_baseline():
     with criterion(4, "zero-potential baseline", 5.0) as info:
-        cfg = SolverConfig(ode_steps_per_cell=512)
         zero = StepPotential.constant(0.0)
         worst = 0.0
         for bc in (BC00, RobinBC(1, 0), BC11, RobinBC(4, 9)):
-            err = abs(lambda1(zero, bc, cfg).lambda1 - lambda1_zero(bc))
+            err = abs(lambda1(zero, bc).lambda1 - lambda1_zero(bc))
             worst = max(worst, err)
-            assert err <= 1e-8
+            assert err <= 1e-12
         assert lambda1_zero(BC00) == 0.0
-        assert abs(lambda1(zero, BC00, cfg).lambda1) <= 1e-10
+        assert abs(lambda1(zero, BC00).lambda1) <= 1e-10
         info["detail"] = f"worst baseline gap {worst:.2e}"
 
 

@@ -277,14 +277,6 @@ class TestOutputHandling:
         assert code == 0 and out == ""
         check_schema(target.read_text())
 
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        args = ("verify-thm2", "--gamma", "2", "--k0sq", "1", "--k1sq", "1",
-                "--n", "10,100")
-        _, sequential, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("SL_EXTREMAL_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert sequential == threaded
-
 
 class TestJsonIO:
     def test_fmt_float_round_trips(self):

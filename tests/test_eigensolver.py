@@ -10,6 +10,7 @@ from sl_extremal import (
     Potential,
     RobinBC,
     SolverConfig,
+    SpikeTrainSpec,
     StepPotential,
     ZeroFunction,
     lambda1,
@@ -18,19 +19,24 @@ from sl_extremal import (
     rayleigh,
     refine_common,
     shift,
+    statement2_family,
     theta_end,
+    verify_thm1,
 )
 
 from conftest import random_step
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
-HIRES = SolverConfig(ode_steps_per_cell=512)
 
 
 def theta_reference(pot: Potential, bc: RobinBC, lam: float) -> float:
     """Independent phase integration: adaptive high-order ODE solver per cell
-    plus the cotangent relation written directly at each point mass."""
+    plus the cotangent relation written directly at each point mass.
+
+    The equation is autonomous on a cell, so each cell is integrated over
+    (0, b - a): a cell 1e-12 wide near x = 1/2 is then not limited by the
+    spacing of doubles around 1/2."""
     step = pot.step
     cuts = sorted(set(step.breakpoints) | {d.site for d in pot.deltas})
     jumps = {d.site: d.weight for d in pot.deltas}
@@ -50,7 +56,7 @@ def theta_reference(pot: Potential, bc: RobinBC, lam: float) -> float:
         c = lam + step.value_at(0.5 * (a + b))
         sol = solve_ivp(
             lambda x, th: math.cos(th[0]) ** 2 + c * math.sin(th[0]) ** 2,
-            (a, b),
+            (0.0, b - a),
             [theta],
             rtol=1e-12,
             atol=1e-12,
@@ -69,7 +75,7 @@ class TestThetaEnd:
         )
 
     def test_second_neumann_eigenvalue_boundary_angle(self):
-        got = theta_end(StepPotential.constant(0.0), BC00, math.pi**2, HIRES)
+        got = theta_end(StepPotential.constant(0.0), BC00, math.pi**2)
         ref = theta_reference(
             Potential.from_step(StepPotential.constant(0.0)), BC00, math.pi**2
         )
@@ -81,7 +87,7 @@ class TestThetaEnd:
         # theta' = cos^2: tan theta(1) = tan(3pi/4) + 1/2
         pot = Potential.pure_delta(0.5, 1.0)
         expected = math.pi - math.atan(0.5)
-        assert theta_end(pot, BC00, 0.0, HIRES) == pytest.approx(expected, abs=1e-10)
+        assert theta_end(pot, BC00, 0.0) == pytest.approx(expected, abs=1e-10)
         assert theta_reference(pot, BC00, 0.0) == pytest.approx(expected, abs=1e-10)
 
     def test_matches_reference_on_random_potentials(self):
@@ -90,7 +96,7 @@ class TestThetaEnd:
             q = random_step(rng, max_height=20.0, max_cells=5)
             pot = Potential(q, [(0.37, 1.5)])
             lam = float(rng.uniform(-20.0, 10.0))
-            assert theta_end(pot, BC11, lam, HIRES) == pytest.approx(
+            assert theta_end(pot, BC11, lam) == pytest.approx(
                 theta_reference(pot, BC11, lam), abs=1e-6
             )
 
@@ -126,7 +132,7 @@ class TestLambda1Zero:
 
     def test_agrees_with_shooting(self):
         for bc in (BC00, RobinBC(1, 0), BC11, RobinBC(4, 9)):
-            got = lambda1(StepPotential.constant(0.0), bc, HIRES).lambda1
+            got = lambda1(StepPotential.constant(0.0), bc).lambda1
             assert got == pytest.approx(lambda1_zero(bc), abs=1e-8)
 
     def test_below_dirichlet_value(self):
@@ -143,7 +149,7 @@ class TestLambda1:
 
     def test_constant_potential_is_a_pure_shift(self):
         for c in (0.5, 5.0, 40.0):
-            res = lambda1(StepPotential.constant(c), BC11, HIRES)
+            res = lambda1(StepPotential.constant(c), BC11)
             assert res.lambda1 == pytest.approx(lambda1_zero(BC11) - c, abs=1e-8)
 
     def test_spectral_shift_identity(self):
@@ -194,7 +200,72 @@ class TestLambda1:
         assert res.to_dict(include_samples=False).get("eigenfunction_samples") is None
 
 
+class TestExactPropagation:
+    @pytest.mark.parametrize("height", [100.0, 1e4])
+    @pytest.mark.parametrize("order", ["high_first", "high_last"])
+    def test_negative_cell_matches_matching_condition(self, height, order):
+        # Neumann ends, q = H on one half and 0 on the other.  With
+        # k^2 = lambda + H and kappa^2 = -lambda > 0, lambda + q < 0 on the
+        # zero half; the ground state is cos(k x) on the high half and
+        # cosh(kappa x) on the other (x measured from the nearer end), and
+        # matching y'/y at x = 1/2 gives k tan(k/2) = kappa tanh(kappa/2)
+        # with k in (0, pi).
+        def mismatch(k):
+            kappa = math.sqrt(height - k * k)
+            return k * math.tan(0.5 * k) - kappa * math.tanh(0.5 * kappa)
+
+        k = brentq(mismatch, 1e-9, math.pi * (1.0 - 1e-12), xtol=1e-15)
+        ref = k * k - height
+        heights = [height, 0.0] if order == "high_first" else [0.0, height]
+        got = lambda1(StepPotential([0.0, 0.5, 1.0], heights), BC00).lambda1
+        assert -height < ref < 0.0
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_spike_train_certificate_matches_adaptive_reference(self):
+        # the rho* = 1000, gamma = 1/2 row of verify_thm1: 100 spikes about
+        # 1e-12 wide and 1e14 high over a floor, 201 cells in all
+        table = verify_thm1(0.5, BC00, [1000.0])
+        detail = table.details[0]
+        spec = SpikeTrainSpec(1000.0, 0.1, detail["spikes"], detail["height"], detail["nu"])
+        pot = Potential.from_step(statement2_family(spec, 0.5)[0])
+        lam = table.rows[0].lambda1
+        span = 1e-9 * abs(lam)
+        ref = brentq(
+            lambda x: theta_reference(pot, BC00, x) - BC00.theta_target,
+            lam - span,
+            lam + span,
+            xtol=1e-3 * span,
+        )
+        assert lam == pytest.approx(ref, rel=1e-9)
+        assert lam == pytest.approx(-10867.6, abs=0.05)
+
+    @pytest.mark.parametrize("with_delta", [False, True])
+    def test_bracket_encloses_the_root(self, with_delta):
+        rng = np.random.default_rng(15 + with_delta)
+        for _ in range(20):
+            q = random_step(rng, max_height=float(rng.choice([5.0, 50.0, 1e4])))
+            deltas = [(float(rng.uniform()), float(rng.uniform(0.1, 5.0)))] if with_delta else []
+            pot = Potential(q, deltas)
+            bc = RobinBC(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
+            res = lambda1(pot, bc)
+            lo, hi = res.bracket
+            assert lo <= res.lambda1 <= hi
+            # an end where theta hits the target exactly is a root, kept as hi
+            assert theta_end(pot, bc, lo) < bc.theta_target <= theta_end(pot, bc, hi)
+            assert hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi))
+
+
 class TestEigenfunction:
+    def test_zero_potential_robin_ground_state(self):
+        # q = 0, y'(0) = y(0), y'(1) = -y(1): y = omega cos(omega x) + sin(omega x)
+        res = lambda1(StepPotential.constant(0.0), BC11, eigenfunction_samples=64)
+        omega = math.sqrt(lambda1_zero(BC11))
+        xs = np.array([x for x, _ in res.eigenfunction_samples])
+        exact = omega * np.cos(omega * xs) + np.sin(omega * xs)
+        exact /= np.max(np.abs(exact))
+        ys = np.array([y for _, y in res.eigenfunction_samples])
+        assert np.max(np.abs(ys - exact)) <= 1e-10
+
     def test_samples_cover_grid_and_are_normalized(self):
         res = lambda1(StepPotential.constant(1.0), BC11, eigenfunction_samples=64)
         xs = [x for x, _ in res.eigenfunction_samples]
@@ -210,7 +281,7 @@ class TestEigenfunction:
 
     def test_delta_kink_is_where_the_mass_sits(self):
         pot = Potential.pure_delta(0.5, 3.0)
-        res = lambda1(pot, BC00, HIRES, eigenfunction_samples=256)
+        res = lambda1(pot, BC00, eigenfunction_samples=256)
         xs = np.array([x for x, _ in res.eigenfunction_samples])
         ys = np.array([y for _, y in res.eigenfunction_samples])
         slopes = np.diff(ys) / np.diff(xs)
@@ -286,10 +357,6 @@ class TestRayleigh:
 
 
 class TestConfigValidation:
-    def test_step_floor(self):
-        with pytest.raises(ValueError):
-            SolverConfig(ode_steps_per_cell=8)
-
     def test_bc_validation(self):
         with pytest.raises(ValueError):
             RobinBC(-1.0, 0.0)
