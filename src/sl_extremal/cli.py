@@ -28,6 +28,7 @@ from .families import (
     VerificationError,
     search_extremum,
     statement1_family,
+    statement2_budget,
     statement2_family,
     statement3_family,
     verify_thm1,
@@ -206,14 +207,8 @@ def _cmd_family(args) -> str:
         spec = SpikeTrainSpec(args.rho_star, args.floor, args.spikes, args.height, args.nu)
         q, kappa = statement2_family(spec, args.gamma)
         payload = {"statement": 2, "gamma": args.gamma, "kappa": kappa,
-                   "nu_norm": statement2_nu_norm(spec), "q": q.to_dict()}
+                   "nu_norm": statement2_budget(spec), "q": q.to_dict()}
     return dumps(payload) + "\n"
-
-
-def statement2_nu_norm(spec: SpikeTrainSpec) -> float:
-    from .families import statement2_budget
-
-    return statement2_budget(spec)
 
 
 def _cmd_verify_thm1(args) -> str:

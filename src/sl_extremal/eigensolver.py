@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf
 
 from .potentials import Potential, StepPotential, as_potential
 
@@ -405,27 +406,45 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     """Smallest eigenvalue of the P1 finite-element discretization.
 
     Assembles the quadratic form int y'^2 + k0^2 y(0)^2 + k1^2 y(1)^2
-    - int q y^2 - sum w y(site)^2 against the consistent mass matrix on a
-    uniform grid; step-potential cells are integrated exactly against the
-    hat-function products, and point masses are snapped to the nearest node
-    so the pencil stays tridiagonal.  The smallest generalized eigenvalue is
-    located by bisection on the Sturm count (signs of the LDL^T pivots of
-    K - lambda M).
+    - int q y^2 - sum w y(site)^2 against the consistent mass matrix on the
+    uniform grid of ``n_nodes`` nodes with every point-mass site added as a
+    node, so the kink of the eigenfunction at a mass falls on an element
+    boundary and the error stays O(h^2).  A site within 1e-6 h of a node is
+    moved onto it instead, as a sliver element would ruin the conditioning.
+    Step-potential cells are integrated exactly against the hat-function
+    products.  By Sylvester's law of inertia K - sigma M is positive definite
+    exactly when sigma lies below the smallest generalized eigenvalue, which
+    the tridiagonal LDL^T factorization (LAPACK dpttrf) reports; that
+    predicate drives a bisection to a width of 1e-12 * max(1, |lo|, |hi|).
     """
     if n_nodes < 32:
         raise ValueError("n_nodes must be >= 32")
     pot = as_potential(q)
     step = pot.step
     n = int(n_nodes)
-    h = 1.0 / (n - 1)
     grid = np.linspace(0.0, 1.0, n)
+    snap = 1e-6 / (n - 1)
+    masses = []
+    for d in pot.deltas:
+        j = int(np.searchsorted(grid, d.site))  # grid[j - 1] < site <= grid[j]
+        if grid[j] - d.site <= snap:
+            site = grid[j]
+        elif d.site - grid[j - 1] <= snap:
+            site = grid[j - 1]
+        else:
+            grid = np.insert(grid, j, d.site)
+            site = d.site
+        masses.append((site, d.weight))
+    h = np.diff(grid)
 
-    kd = np.full(n, 2.0 / h)
-    kd[0] = kd[-1] = 1.0 / h
-    ke = np.full(n - 1, -1.0 / h)
-    md = np.full(n, 2.0 * h / 3.0)
-    md[0] = md[-1] = h / 3.0
-    me = np.full(n - 1, h / 6.0)
+    kd = np.zeros(grid.size)
+    kd[:-1] += 1.0 / h
+    kd[1:] += 1.0 / h
+    ke = -1.0 / h
+    md = np.zeros(grid.size)
+    md[:-1] += h / 3.0
+    md[1:] += h / 3.0
+    me = h / 6.0
 
     kd[0] += bc.k0sq
     kd[-1] += bc.k1sq
@@ -435,67 +454,50 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     a = pts[:-1]
     b = pts[1:]
     mids = 0.5 * (a + b)
-    elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, n - 2)
+    elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, grid.size - 2)
     sidx = np.clip(
         np.searchsorted(step.breakpoints, mids, side="right") - 1,
         0,
         step.heights.size - 1,
     )
     sval = step.heights[sidx]
-    ta = (a - grid[elem]) / h
-    tb = (b - grid[elem]) / h
-    i_ll = h * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0
-    i_rr = h * (tb**3 - ta**3) / 3.0
-    i_lr = h * ((tb**2 - ta**2) / 2.0 - (tb**3 - ta**3) / 3.0)
+    he = h[elem]
+    ta = (a - grid[elem]) / he
+    tb = (b - grid[elem]) / he
+    i_ll = he * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0
+    i_rr = he * (tb**3 - ta**3) / 3.0
+    i_lr = he * ((tb**2 - ta**2) / 2.0 - (tb**3 - ta**3) / 3.0)
     np.add.at(kd, elem, -sval * i_ll)
     np.add.at(kd, elem + 1, -sval * i_rr)
     np.add.at(ke, elem, -sval * i_lr)
 
-    for d in pot.deltas:
-        j = int(round(d.site * (n - 1)))
-        kd[j] -= d.weight
+    for site, w in masses:
+        kd[np.searchsorted(grid, site)] -= w
 
-    pivmin = 1e-280
-
-    def count_below(lams: np.ndarray) -> np.ndarray:
-        """Number of generalized eigenvalues strictly below each lambda."""
-        dpiv = kd[0] - lams * md[0]
-        dpiv = np.where(np.abs(dpiv) < pivmin, -pivmin, dpiv)
-        cnt = (dpiv < 0).astype(np.int64)
-        for i in range(1, n):
-            e = ke[i - 1] - lams * me[i - 1]
-            dpiv = (kd[i] - lams * md[i]) - e * e / dpiv
-            dpiv = np.where(np.abs(dpiv) < pivmin, -pivmin, dpiv)
-            cnt += dpiv < 0
-        return cnt
+    def below(sigma: float) -> bool:
+        """True when K - sigma M is positive definite, i.e. sigma < lambda_1."""
+        return dpttrf(kd - sigma * md, ke - sigma * me)[2] == 0
 
     lo, hi = -1.0, 1.0
     for _ in range(200):
-        if count_below(np.array([hi]))[0] >= 1:
+        if not below(hi):
             break
         hi += hi - lo
     else:
         raise BracketNotFound("finite-element upper bracket not found")
     for _ in range(200):
-        if count_below(np.array([lo]))[0] == 0:
+        if below(lo):
             break
         lo -= hi - lo
     else:
         raise BracketNotFound("finite-element lower bracket not found")
 
-    nprobe = 63
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
-            probes = np.linspace(lo, hi, nprobe + 2)[1:-1]
-            cnts = count_below(probes)
-            above = np.nonzero(cnts >= 1)[0]
-            if above.size == 0:
-                lo = probes[-1]
-                continue
-            first = above[0]
-            if first > 0:
-                lo = probes[first - 1]
-            hi = probes[first]
+    while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
     return float(0.5 * (lo + hi))
 
 

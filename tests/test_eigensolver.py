@@ -310,7 +310,42 @@ class TestFiniteElementOracle:
         pot = Potential(StepPotential.constant(1.0), [(0.3333, 2.0)])
         fd = lambda1_fd(pot, BC11, 4096)
         sh = lambda1(pot, BC11).lambda1
-        assert fd == pytest.approx(sh, abs=5e-3)
+        assert fd == pytest.approx(sh, abs=1e-5)
+
+    @pytest.mark.parametrize("with_delta", [False, True])
+    def test_second_order_convergence(self, with_delta):
+        q = random_step(np.random.default_rng(3))
+        pot = Potential(q, [(0.4123456789, 3.0)] if with_delta else [])
+        bc = RobinBC(1.0, 4.0)
+        exact = lambda1(pot, bc).lambda1
+        errs = [abs(lambda1_fd(pot, bc, m + 1) - exact) for m in (1024, 2048, 4096)]
+        assert 3.0 <= errs[0] / errs[1] <= 5.0
+        assert 3.0 <= errs[1] / errs[2] <= 5.0
+
+    def test_point_masses_close_to_shooting(self):
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            q = random_step(rng)
+            k = int(rng.integers(1, 4))
+            masses = list(zip(rng.uniform(0.0, 1.0, k), rng.uniform(0.1, 10.0, k)))
+            pot = Potential(q, masses)
+            bc = RobinBC(float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
+            assert lambda1_fd(pot, bc, 4096) == pytest.approx(
+                lambda1(pot, bc).lambda1, abs=1e-5
+            )
+
+    @pytest.mark.parametrize(
+        "site",
+        [0.0, 1.0, 1000 / 4095, 1000 / 4095 + 1e-15],
+        ids=["left-end", "right-end", "on-node", "near-node"],
+    )
+    def test_point_mass_site_placement(self, site):
+        q = StepPotential([0.0, 0.3, 0.7, 1.0], [4.0, 10.0, 1.0])
+        pot = Potential(q, [(site, 3.0)])
+        bc = RobinBC(1.0, 4.0)
+        assert lambda1_fd(pot, bc, 4096) == pytest.approx(
+            lambda1(pot, bc).lambda1, abs=1e-6
+        )
 
     def test_minimum_resolution_enforced(self):
         with pytest.raises(ValueError):
