@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .potentials import Potential, StepPotential, _as_float_array
 
@@ -168,47 +168,39 @@ def w1_norm(z: SampledFunction) -> float:
 
 
 def pairing(f, z: SampledFunction) -> float:
-    """Duality pairing <f, z>: exact step integral plus point evaluations."""
-    f = as_signed_measure(f)
-    xz = z.grid
-    pts = np.union1d(xz, f.breakpoints)
-    zv = np.interp(pts, xz, z.values)
-    a = pts[:-1]
-    b = pts[1:]
-    mids = 0.5 * (a + b)
-    idx = np.clip(
-        np.searchsorted(f.breakpoints, mids, side="right") - 1,
-        0,
-        f.heights.size - 1,
-    )
-    # z is linear on each subinterval, so the trapezoid value is exact
-    total = float(np.sum(f.heights[idx] * 0.5 * (zv[:-1] + zv[1:]) * (b - a)))
-    for site, w in f.deltas:
-        total += w * float(np.interp(site, xz, z.values))
-    return total
+    """Duality pairing <f, z> = sum_i z_i <f, phi_i>, z being a sum of hats."""
+    return float(np.dot(z.values, _hat_loads(as_signed_measure(f), z.grid)))
 
 
 def _hat_loads(f: SignedMeasure, grid: np.ndarray) -> np.ndarray:
-    """<f, phi_i> for every hat function phi_i on the uniform grid."""
+    """<f, phi_i> for every hat function phi_i on the uniform grid, in O(N + K).
+
+    An element inside one cell of height s gets s*h/2 at each node.  Only the
+    elements a breakpoint cuts are integrated piecewise: the piece of each
+    cell in its first element and, if the cell reaches further, in its last.
+    """
     n = grid.size
     h = grid[1] - grid[0]
-    b = np.zeros(n)
-    pts = np.union1d(grid, f.breakpoints)
-    a = pts[:-1]
-    bb = pts[1:]
-    mids = 0.5 * (a + bb)
-    elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, n - 2)
-    sidx = np.clip(
-        np.searchsorted(f.breakpoints, mids, side="right") - 1,
-        0,
-        f.heights.size - 1,
-    )
-    sval = f.heights[sidx]
-    ta = (a - grid[elem]) / h
-    tb = (bb - grid[elem]) / h
-    load_left = sval * h * ((tb - ta) - 0.5 * (tb**2 - ta**2))
-    load_right = sval * h * 0.5 * (tb**2 - ta**2)
-    np.add.at(b, elem, load_left)
+    bp = f.breakpoints
+    s = f.heights
+    # first and last element of each cell
+    es = np.clip(np.searchsorted(grid, bp[:-1], side="right") - 1, 0, n - 2)
+    ee = np.clip(np.searchsorted(grid, bp[1:], side="left") - 1, 0, n - 2)
+    uncut = np.ones(n - 1, dtype=bool)
+    uncut[es] = uncut[ee] = False
+    inner = np.zeros(n - 1)
+    inner[uncut] = np.repeat(s * (0.5 * h), np.maximum(ee - es - 1, 0))
+    b = np.append(inner, 0.0)
+    b[1:] += inner
+
+    far = ee > es
+    cell = np.concatenate((np.arange(s.size), np.flatnonzero(far)))
+    elem = np.concatenate((es, ee[far]))
+    x0 = grid[elem]
+    ta = (np.maximum(bp[cell], x0) - x0) / h
+    tb = (np.minimum(bp[cell + 1], grid[elem + 1]) - x0) / h
+    load_right = s[cell] * h * 0.5 * (tb**2 - ta**2)
+    np.add.at(b, elem, s[cell] * h * (tb - ta) - load_right)
     np.add.at(b, elem + 1, load_right)
     for site, w in f.deltas:
         j = min(int(np.searchsorted(grid, site, side="right")) - 1, n - 2)
@@ -224,9 +216,12 @@ def wminus1_norm(f, grid_n: int) -> float:
 
     Solves (u, v)_{W^1_2} = <f, v> for all piecewise-linear v on a uniform
     grid with grid_n intervals (natural boundary conditions, one tridiagonal
-    solve) and returns sqrt(<f, u>).  This equals the supremum of <f, z> over
-    the unit ball of the discrete space, hence approximates the true norm
-    from below as grid_n grows.
+    LDL^T solve, LAPACK dptsv) and returns sqrt(<f, u>).  This equals the
+    supremum of <f, z> over the unit ball of the discrete space, hence
+    approximates the true norm from below as grid_n grows.  The loads are
+    scaled by a power of two 2^k >= max|b| for the solve, so the energy
+    neither under- nor overflows; a norm beyond the float range raises
+    ValueError.
     """
     f = as_signed_measure(f)
     if grid_n < 64:
@@ -240,12 +235,17 @@ def wminus1_norm(f, grid_n: int) -> float:
     off = np.full(n - 1, -1.0 / h + h / 6.0)
 
     b = _hat_loads(f, grid)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = off
-    ab[1, :] = diag
-    u = solveh_banded(ab, b)
+    top = float(np.max(np.abs(b)))
+    if not math.isfinite(top):
+        raise ValueError("W^-1 norm: the load vector overflows")
+    k = math.frexp(top)[1]
+    b = np.ldexp(b, -k)
+    u = dptsv(diag, off, b)[2]
     val = float(np.dot(b, u))
-    return math.sqrt(val) if val > 0.0 else 0.0
+    try:
+        return math.ldexp(math.sqrt(max(val, 0.0)), k)
+    except OverflowError:
+        raise ValueError("W^-1 norm exceeds the float range") from None
 
 
 def wminus1_dist(f, g, grid_n: int) -> float:

@@ -120,6 +120,14 @@ class TestWdist:
         assert code == 0
         assert check_schema(out)["wminus1_dist"] == 0.0
 
+    def test_unrepresentable_distance_is_an_error(self, capsys):
+        f = ('{"breakpoints":[0,1],"heights":[0],"deltas":'
+             '[{"site":0.25,"weight":1e308},{"site":0.75,"weight":1e308}]}')
+        code, out, err = run_cli(capsys, "wdist", "--f-json", f, "--grid-n", "1024")
+        assert code == 2 and out == ""
+        assert check_schema(err)["code"] == 2
+        assert "Traceback" not in err
+
 
 class TestFamily:
     def test_statement1_example(self, capsys):

@@ -13,6 +13,7 @@ from sl_extremal import (
     wminus1_dist,
     wminus1_norm,
 )
+from sl_extremal.sobolev import _hat_loads
 
 
 def random_measure(rng: np.random.Generator) -> SignedMeasure:
@@ -122,6 +123,100 @@ class TestWminus1Norm:
                 z = SampledFunction(values)
                 bound = nf * w1_norm(z) * (1.0 + 10.0 / grid_n)
                 assert abs(pairing(f, z)) <= bound + 1e-12
+
+
+def reference_loads(f: SignedMeasure, grid_n: int) -> list[float]:
+    """<f, phi_i> by a double loop over (cell, element) pairs, in closed form.
+
+    On the overlap [lo, hi] of a cell with element [x_j, x_j+1] the left hat
+    is (x_j+1 - x)/h and the right one (x - x_j)/h, so their integrals are
+    differences of squared distances to the far node.
+    """
+    h = 1.0 / grid_n
+    loads = [0.0] * (grid_n + 1)
+    for c, s in enumerate(f.heights):
+        a, b = float(f.breakpoints[c]), float(f.breakpoints[c + 1])
+        for j in range(grid_n):
+            xl, xr = j / grid_n, (j + 1) / grid_n
+            lo, hi = max(a, xl), min(b, xr)
+            if hi > lo:
+                loads[j] += s * ((xr - lo) ** 2 - (xr - hi) ** 2) / (2.0 * h)
+                loads[j + 1] += s * ((hi - xl) ** 2 - (lo - xl) ** 2) / (2.0 * h)
+    for site, w in f.deltas:
+        for i in range(grid_n + 1):
+            loads[i] += w * max(0.0, 1.0 - abs(site - i / grid_n) / h)
+    return loads
+
+
+def reference_norm(f: SignedMeasure, grid_n: int) -> float:
+    """sqrt(b^T A^-1 b) with the W^1_2 Gram matrix A assembled element by
+    element and solved densely."""
+    h = 1.0 / grid_n
+    gram = np.zeros((grid_n + 1, grid_n + 1))
+    stiffness = np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+    mass = np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+    for j in range(grid_n):
+        gram[j : j + 2, j : j + 2] += stiffness + mass
+    b = np.array(reference_loads(f, grid_n))
+    return math.sqrt(float(b @ np.linalg.solve(gram, b)))
+
+
+def reference_cases() -> list[tuple[SignedMeasure, int]]:
+    rng = np.random.default_rng(47)
+    cases = [
+        # breakpoints on nodes; masses at 0, at 1 and on the node 1/4
+        (SignedMeasure([0.0, 0.125, 0.5, 1.0], [2.0, -1.0, 3.0],
+                       [(0.0, 1.5), (1.0, -0.5), (0.25, 2.0)]), 64),
+        # three breakpoints inside element 40 of 128: two cells lie in it
+        (SignedMeasure([0.0, 40.2 / 128, 40.5 / 128, 40.9 / 128, 0.7, 1.0],
+                       [1e3, -7.0, 5e5, -2.0, 0.5], [(0.0, -3.0), (0.3, 1.0)]), 128),
+        # a spike n 1_(zeta - 1/n, zeta) narrower than one element, minus its limit
+        (SignedMeasure([0.0, 0.6 - 1e-4, 0.6, 1.0], [0.0, 1e4, 0.0], [(0.6, -1.0)]), 256),
+    ]
+    for grid_n in (64, 100, 333, 512):
+        nodes = rng.choice(np.arange(1, grid_n), size=3, replace=False) / grid_n
+        inner = np.unique(np.concatenate((rng.uniform(0.01, 0.99, size=6), nodes)))
+        k = inner.size + 1
+        heights = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3, 6, k)
+        sites = [0.0, 1.0, float(nodes[0]), float(rng.uniform())]
+        deltas = [(site, float(rng.normal())) for site in sites]
+        bp = np.concatenate(([0.0], inner, [1.0]))
+        cases.append((SignedMeasure(bp, heights, deltas), grid_n))
+    return cases
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("f, grid_n", reference_cases())
+    def test_hat_loads(self, f, grid_n):
+        ref = np.array(reference_loads(f, grid_n))
+        got = _hat_loads(f, np.linspace(0.0, 1.0, grid_n + 1))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("f, grid_n", reference_cases())
+    def test_norm(self, f, grid_n):
+        assert wminus1_norm(f, grid_n) == pytest.approx(reference_norm(f, grid_n), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-170, -1e-170, 1e300, -1e300])
+    def test_homogeneity_at_extreme_scales(self, c):
+        # b^T A^-1 b itself under- or overflows at these scales
+        rng = np.random.default_rng(48)
+        for f in (SignedMeasure([0, 1], [1.0]), SignedMeasure([0.0, 0.5, 1.0], [1.0, -1.0]),
+                  random_measure(rng), random_measure(rng)):
+            value = wminus1_norm(f.scaled(c), 256)
+            assert math.isfinite(value)
+            expected = abs(c) * wminus1_norm(f, 256)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_unrepresentable_norm_raises(self):
+        # each mass alone has norm about 1.07e308; together they exceed the float range
+        f = SignedMeasure([0, 1], [0.0], [(0.25, 1e308), (0.75, 1e308)])
+        with pytest.raises(ValueError):
+            wminus1_norm(f, 256)
+        # the loads of two masses on one node overflow before the solve
+        g = SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5 + 1e-9, 1e308)])
+        with pytest.raises(ValueError):
+            with np.errstate(over="ignore"):
+                wminus1_norm(g, 256)
 
 
 class TestWminus1Dist:
