@@ -13,14 +13,7 @@ import argparse
 import json
 import sys
 
-from .eigensolver import (
-    DEFAULT_CONFIG,
-    BracketNotFound,
-    RobinBC,
-    SolverConfig,
-    lambda1,
-    lambda1_zero,
-)
+from .eigensolver import BracketNotFound, RobinBC, lambda1, lambda1_zero
 from .families import (
     ExtremumSearchSpec,
     NormBudgetExceeded,
@@ -86,16 +79,6 @@ def _bc(args) -> RobinBC:
         raise CLIError(str(exc)) from exc
 
 
-def _config(args) -> SolverConfig:
-    try:
-        return SolverConfig(
-            theta_tolerance=args.theta_tol,
-            max_bracket_expansions=args.max_expansions,
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-
-
 def _float_list(text: str, name: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -124,23 +107,11 @@ def _add_bc_options(p):
     p.add_argument("--k1sq", type=float, required=True)
 
 
-def _add_solver_options(p):
-    p.add_argument("--theta-tol", type=float, default=DEFAULT_CONFIG.theta_tolerance)
-    p.add_argument(
-        "--max-expansions", type=int, default=DEFAULT_CONFIG.max_bracket_expansions
-    )
-
-
 # --- handlers ----------------------------------------------------------------
 
 def _cmd_eig(args) -> str:
     pot = _parse_potential(args)
-    result = lambda1(
-        pot,
-        _bc(args),
-        _config(args),
-        eigenfunction_samples=args.eigenfunction,
-    )
+    result = lambda1(pot, _bc(args), eigenfunction_samples=args.eigenfunction)
     if args.format == "json":
         return dumps(result.to_dict()) + "\n"
     row = [
@@ -216,7 +187,6 @@ def _cmd_verify_thm1(args) -> str:
         args.gamma,
         _bc(args),
         _float_list(args.rho, "rho"),
-        _config(args),
         spikes=args.spikes,
         floor=args.floor,
         nu=args.nu,
@@ -228,12 +198,7 @@ def _cmd_verify_thm1(args) -> str:
 
 
 def _cmd_verify_thm2(args) -> str:
-    table = verify_thm2(
-        args.gamma,
-        _bc(args),
-        _int_list(args.n, "n"),
-        _config(args),
-    )
+    table = verify_thm2(args.gamma, _bc(args), _int_list(args.n, "n"))
     if args.format == "json":
         return dumps({"rows": table.to_dicts()}) + "\n"
     return table.to_csv()
@@ -250,7 +215,7 @@ def _cmd_search(args) -> str:
         step_min=args.step_min,
         height_cap=args.height_cap,
     )
-    result = search_extremum(spec, _bc(args), _config(args))
+    result = search_extremum(spec, _bc(args))
     if args.format == "json":
         payload = result.to_dict()
         payload["seed"] = args.seed
@@ -266,7 +231,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q-json")
     p.add_argument("--q-file")
     _add_bc_options(p)
-    _add_solver_options(p)
     p.add_argument("--eigenfunction", type=int, default=None, metavar="N",
                    help="include eigenfunction samples on the grid j/N")
     _add_io_options(p, "json")
@@ -314,7 +278,6 @@ def build_parser() -> _Parser:
     p.add_argument("--floor", type=float, default=0.1)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--slack-fraction", type=float, default=0.5)
-    _add_solver_options(p)
     _add_io_options(p, "csv")
     p.set_defaults(handler=_cmd_verify_thm1)
 
@@ -322,7 +285,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, required=True)
     _add_bc_options(p)
     p.add_argument("--n", required=True, help="comma-separated family indices")
-    _add_solver_options(p)
     _add_io_options(p, "csv")
     p.set_defaults(handler=_cmd_verify_thm2)
 
@@ -338,7 +300,6 @@ def build_parser() -> _Parser:
     p.add_argument("--height-cap", type=float, default=float("inf"))
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the output; the search itself is deterministic")
-    _add_solver_options(p)
     _add_io_options(p, "json")
     p.set_defaults(handler=_cmd_search)
 

@@ -31,11 +31,10 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpttrf
 
-from .potentials import Potential, StepPotential, as_potential
+from .potentials import Potential, _cell_values, as_potential
 
 __all__ = [
     "RobinBC",
-    "SolverConfig",
     "EigenResult",
     "BracketNotFound",
     "ZeroFunction",
@@ -44,7 +43,6 @@ __all__ = [
     "lambda1_fd",
     "lambda1_zero",
     "rayleigh",
-    "DEFAULT_CONFIG",
 ]
 
 
@@ -84,21 +82,6 @@ class RobinBC:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    theta_tolerance: float = 1e-10
-    max_bracket_expansions: int = 60
-
-    def __post_init__(self):
-        if not (self.theta_tolerance > 0):
-            raise ValueError("theta_tolerance must be positive")
-        if self.max_bracket_expansions < 1:
-            raise ValueError("max_bracket_expansions must be >= 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
-@dataclass(frozen=True)
 class EigenResult:
     lambda1: float
     residual: float
@@ -134,9 +117,7 @@ def _segments(pot: Potential) -> tuple[list[tuple[float, float, float, float]], 
     """
     bps = pot.step.breakpoints.tolist()
     heights = pot.step.heights.tolist()
-    masses: dict[float, float] = {}
-    for d in pot.deltas:
-        masses[float(d.site)] = masses.get(float(d.site), 0.0) + d.weight
+    masses = {float(d.site): d.weight for d in pot.deltas}  # sites are distinct
     grid = sorted(set(bps) | set(masses))
     cells = []
     i = 0  # the step cell [bps[i], bps[i + 1]) that holds [a, b]
@@ -225,10 +206,12 @@ def theta_end(q, bc: RobinBC, lam: float) -> float:
 
 # --- eigenvalue via a bracketed Illinois iteration -------------------------
 
+_MAX_EXPANSIONS = 60
+
+
 def lambda1(
     q,
     bc: RobinBC,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     *,
     eigenfunction_samples: int | None = None,
     bracket_hint: tuple[float, float] | None = None,
@@ -241,11 +224,11 @@ def lambda1(
     ``bracket_hint``) and then located by Illinois regula falsi, which keeps
     theta(1; lo) < target <= theta(1; hi) at every step, falls back to
     bisection whenever two steps fail to halve the bracket, and stops once
-    the bracket is at most 1e-13 * max(1, |lo|, |hi|) wide with a residual
-    within cfg.theta_tolerance.  The returned eigenvalue is the bracket end
-    with the smaller residual |theta(1; lambda) - target|; as theta is exact,
-    the residual measures only the root-finding error.  Raises
-    BracketNotFound after cfg.max_bracket_expansions doublings.
+    the bracket is at most 1e-13 * max(1, |lo|, |hi|) wide.  There is no
+    residual condition: theta is exact, so the residual
+    |theta(1; lambda) - target| is rounding noise that a stiff potential can
+    keep above any fixed tolerance.  The returned eigenvalue is the bracket
+    end with the smaller residual.  Raises BracketNotFound after 60 doublings.
     """
     pot = as_potential(q)
     cells, w0 = _segments(pot)
@@ -266,7 +249,7 @@ def lambda1(
     f_hi = f(hi)
     expansions = 0
     while f_lo >= 0.0:
-        if expansions >= cfg.max_bracket_expansions:
+        if expansions >= _MAX_EXPANSIONS:
             raise BracketNotFound(
                 f"no lower bracket endpoint after {expansions} expansions"
             )
@@ -274,7 +257,7 @@ def lambda1(
         f_lo = f(lo)
         expansions += 1
     while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
-        if expansions >= cfg.max_bracket_expansions:
+        if expansions >= _MAX_EXPANSIONS:
             raise BracketNotFound(
                 f"no upper bracket endpoint after {expansions} expansions"
             )
@@ -286,13 +269,13 @@ def lambda1(
     # row is halved (the Illinois rule), so both ends close in superlinearly.
     iterations = expansions
     g_lo, g_hi, side = f_lo, f_hi, 0
-    width_1 = width_2 = fx = math.inf
+    width_1 = width_2 = math.inf
     for _ in range(400):
         width = hi - lo
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-        if width <= tol and abs(fx) <= cfg.theta_tolerance:
+        if width <= tol:
             break
-        if width <= tol or width > 0.5 * width_2:
+        if width > 0.5 * width_2:
             x = 0.5 * (lo + hi)
         else:
             x = hi - g_hi * width / (g_hi - g_lo)
@@ -455,12 +438,7 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     b = pts[1:]
     mids = 0.5 * (a + b)
     elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, grid.size - 2)
-    sidx = np.clip(
-        np.searchsorted(step.breakpoints, mids, side="right") - 1,
-        0,
-        step.heights.size - 1,
-    )
-    sval = step.heights[sidx]
+    sval = _cell_values(step.breakpoints, step.heights, mids)
     he = h[elem]
     ta = (a - grid[elem]) / he
     tb = (b - grid[elem]) / he
@@ -535,12 +513,7 @@ def rayleigh(q, bc: RobinBC, y_samples) -> float:
     a = pts[:-1]
     b = pts[1:]
     mids = 0.5 * (a + b)
-    sidx = np.clip(
-        np.searchsorted(step.breakpoints, mids, side="right") - 1,
-        0,
-        step.heights.size - 1,
-    )
-    sval = step.heights[sidx]
+    sval = _cell_values(step.breakpoints, step.heights, mids)
     num -= float(np.sum(sval * 0.5 * (yv[:-1] ** 2 + yv[1:] ** 2) * (b - a)))
 
     for d in pot.deltas:

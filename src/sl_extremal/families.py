@@ -28,13 +28,7 @@ import math
 
 import numpy as np
 
-from .eigensolver import (
-    DEFAULT_CONFIG,
-    RobinBC,
-    SolverConfig,
-    lambda1,
-    lambda1_zero,
-)
+from .eigensolver import RobinBC, lambda1, lambda1_zero
 from .jsonio import to_csv
 from .potentials import StepPotential, normalize_gamma, pnorm
 
@@ -43,7 +37,6 @@ __all__ = [
     "ExtremumSearchSpec",
     "TableRow",
     "ConvergenceTable",
-    "UnboundednessTable",
     "SearchResult",
     "NormBudgetExceeded",
     "VerificationError",
@@ -88,17 +81,9 @@ class TableRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    rows: tuple[TableRow, ...]
+    """Rows of a verification protocol; ``details`` holds verify_thm1's
+    per-level construction record and is empty for verify_thm2."""
 
-    def to_csv(self) -> str:
-        return to_csv(CSV_HEADER, (r.as_list() for r in self.rows))
-
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.rows]
-
-
-@dataclass(frozen=True)
-class UnboundednessTable:
     rows: tuple[TableRow, ...]
     details: tuple[dict, ...] = ()
 
@@ -256,7 +241,6 @@ def verify_thm2(
     gamma: float,
     bc: RobinBC,
     n_list,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     *,
     ceiling_tol: float = 1e-8,
 ) -> ConvergenceTable:
@@ -275,7 +259,7 @@ def verify_thm2(
 
     def row(n: int) -> TableRow:
         q = statement3_family(gamma, n)
-        lam = lambda1(q, bc, cfg).lambda1
+        lam = lambda1(q, bc).lambda1
         return TableRow(float(n), lam, lam0, lam0 - lam)
 
     rows = [row(n) for n in ns]
@@ -320,14 +304,13 @@ def verify_thm1(
     gamma: float,
     bc: RobinBC,
     rho_list,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     *,
     spikes: int = 100,
     floor: float = 0.1,
     nu: float | None = None,
     slack_fraction: float = 0.5,
     membership_tol: float = 1e-10,
-) -> UnboundednessTable:
+) -> ConvergenceTable:
     """Certify that lambda_1 is unbounded below over A_gamma for gamma < 1.
 
     For each requested level rho* the protocol builds a normalized spike
@@ -355,7 +338,7 @@ def verify_thm1(
             raise VerificationError(
                 f"constructed potential misses A_gamma by {membership:.3e}"
             )
-        lam = lambda1(q, bc, cfg).lambda1
+        lam = lambda1(q, bc).lambda1
         reference = lam0 - level
         bound = reference + slack_fraction * level
         if lam > bound:
@@ -377,7 +360,7 @@ def verify_thm1(
     results = [row(level) for level in levels]
     rows = tuple(r for r, _ in results)
     details = tuple(d for _, d in results)
-    return UnboundednessTable(rows, details)
+    return ConvergenceTable(rows, details)
 
 
 # --- coordinate search on the constraint manifold ----------------------------
@@ -435,11 +418,7 @@ class SearchResult:
         }
 
 
-def search_extremum(
-    spec: ExtremumSearchSpec,
-    bc: RobinBC,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> SearchResult:
+def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     """Empirical probe of the extremal eigenvalue over A_gamma."""
     if spec.start is not None:
         if spec.start.heights.size != spec.cells:
@@ -451,7 +430,7 @@ def search_extremum(
     sign = -1.0 if spec.mode == "min" else 1.0
 
     def objective(pot: StepPotential, hint):
-        res = lambda1(pot, bc, cfg, bracket_hint=hint)
+        res = lambda1(pot, bc, bracket_hint=hint)
         return res.lambda1
 
     best_lam = objective(q, None)

@@ -50,6 +50,16 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
+    """Values at x of the step function with these breakpoints and heights.
+
+    Cells are taken half-open to the right; x outside [0, 1) falls into the
+    first or last cell.
+    """
+    i = np.searchsorted(breakpoints, x, side="right") - 1
+    return heights[np.clip(i, 0, heights.size - 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class StepPotential:
     """Piecewise-constant nonnegative function on [0,1].
@@ -92,9 +102,7 @@ class StepPotential:
 
     def value_at(self, x: float) -> float:
         """Cell value at x (cells are taken half-open to the right)."""
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        i = min(max(i, 0), self.heights.size - 1)
-        return float(self.heights[i])
+        return float(_cell_values(self.breakpoints, self.heights, x))
 
     def scaled(self, factor: float) -> "StepPotential":
         return StepPotential(self.breakpoints, self.heights * factor)
@@ -160,10 +168,6 @@ class Potential:
     @classmethod
     def pure_delta(cls, site: float, weight: float) -> "Potential":
         return cls(StepPotential.constant(0.0), (DeltaComponent(site, weight),))
-
-    @property
-    def total_delta_weight(self) -> float:
-        return float(sum(d.weight for d in self.deltas))
 
     def to_dict(self) -> dict:
         out = self.step.to_dict()
@@ -273,13 +277,7 @@ def refine_common(a, b) -> tuple[StepPotential, StepPotential]:
     b = as_step(b)
     grid = np.union1d(a.breakpoints, b.breakpoints)
     mids = 0.5 * (grid[:-1] + grid[1:])
-
-    def resample(q: StepPotential) -> StepPotential:
-        idx = np.clip(
-            np.searchsorted(q.breakpoints, mids, side="right") - 1,
-            0,
-            q.heights.size - 1,
-        )
-        return StepPotential(grid, q.heights[idx])
-
-    return resample(a), resample(b)
+    return (
+        StepPotential(grid, _cell_values(a.breakpoints, a.heights, mids)),
+        StepPotential(grid, _cell_values(b.breakpoints, b.heights, mids)),
+    )

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dptsv
 
-from .potentials import Potential, StepPotential, _as_float_array
+from .potentials import Potential, StepPotential, _as_float_array, _cell_values
 
 __all__ = [
     "SignedMeasure",
@@ -54,6 +54,8 @@ class SignedMeasure:
             if not (0.0 <= site <= 1.0) or not math.isfinite(w):
                 raise ValueError("delta sites must lie in [0,1] with finite weight")
             merged[site] = merged.get(site, 0.0) + w
+        if not all(map(math.isfinite, merged.values())):
+            raise ValueError("merged delta weight overflows at one site")
         out = tuple((s, w) for s, w in sorted(merged.items()) if w != 0.0)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "heights", h)
@@ -86,20 +88,12 @@ class SignedMeasure:
         other = as_signed_measure(other)
         grid = np.union1d(self.breakpoints, other.breakpoints)
         mids = 0.5 * (grid[:-1] + grid[1:])
-
-        def sample(m: "SignedMeasure") -> np.ndarray:
-            idx = np.clip(
-                np.searchsorted(m.breakpoints, mids, side="right") - 1,
-                0,
-                m.heights.size - 1,
-            )
-            return m.heights[idx]
-
+        mine = _cell_values(self.breakpoints, self.heights, mids)
+        theirs = _cell_values(other.breakpoints, other.heights, mids)
+        with np.errstate(over="ignore"):  # an infinite height is rejected below
+            heights = mine - theirs
         deltas = list(self.deltas) + [(s, -w) for s, w in other.deltas]
-        return SignedMeasure(grid, sample(self) - sample(other), tuple(deltas))
-
-    def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
-        return self - as_signed_measure(other).scaled(-1.0)
+        return SignedMeasure(grid, heights, tuple(deltas))
 
     def to_dict(self) -> dict:
         return {
@@ -202,12 +196,13 @@ def _hat_loads(f: SignedMeasure, grid: np.ndarray) -> np.ndarray:
     load_right = s[cell] * h * 0.5 * (tb**2 - ta**2)
     np.add.at(b, elem, s[cell] * h * (tb - ta) - load_right)
     np.add.at(b, elem + 1, load_right)
-    for site, w in f.deltas:
-        j = min(int(np.searchsorted(grid, site, side="right")) - 1, n - 2)
-        j = max(j, 0)
-        t = (site - grid[j]) / h
-        b[j] += w * (1.0 - t)
-        b[j + 1] += w * t
+    with np.errstate(over="ignore"):  # an overflowing load is the caller's to reject
+        for site, w in f.deltas:
+            j = min(int(np.searchsorted(grid, site, side="right")) - 1, n - 2)
+            j = max(j, 0)
+            t = (site - grid[j]) / h
+            b[j] += w * (1.0 - t)
+            b[j + 1] += w * t
     return b
 
 

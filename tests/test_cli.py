@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -11,6 +14,7 @@ from sl_extremal.jsonio import dumps, fmt_float, to_csv
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "schemas" / "cli-output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 Q_ZERO = '{"breakpoints":[0,1],"heights":[0]}'
 Q_STEP = '{"breakpoints":[0,0.5,1],"heights":[2,0.5]}'
@@ -127,6 +131,30 @@ class TestWdist:
         assert code == 2 and out == ""
         assert check_schema(err)["code"] == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("f, g", [
+        ('{"breakpoints":[0,1],"heights":[0],"deltas":'
+         '[{"site":0.5,"weight":1e308},{"site":0.5,"weight":1e308}]}', None),
+        ('{"breakpoints":[0,1],"heights":[0],"deltas":'
+         '[{"site":0.5,"weight":1e308},{"site":0.500000001,"weight":1e308}]}', None),
+        ('{"breakpoints":[0,1],"heights":[1e308]}', '{"breakpoints":[0,1],"heights":[-1e308]}'),
+    ], ids=["merged_weight", "masses_in_one_hat", "heights"])
+    def test_overflow_error_is_the_only_stderr_line(self, f, g):
+        # run in a fresh interpreter: pytest would capture a numpy warning
+        argv = ["wdist", "--f-json", f, "--grid-n", "64"]
+        if g is not None:
+            argv += ["--g-json", g]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from sl_extremal.cli import entrypoint; "
+             "sys.argv[1:] = " + repr(argv) + "; entrypoint()"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert check_schema(proc.stderr)["code"] == 2
 
 
 class TestFamily:
@@ -252,13 +280,14 @@ class TestErrorPaths:
         check_schema(err)
 
     def test_solver_failure_exit_code(self, capsys):
+        # lambda_1 = -1e30 lies beyond the sixty bracket doublings
         code, _, err = run_cli(
-            capsys, "eig", "--q-json", '{"breakpoints":[0,1],"heights":[500]}',
-            "--k0sq", "0", "--k1sq", "0", "--max-expansions", "3",
+            capsys, "eig", "--q-json", '{"breakpoints":[0,1],"heights":[1e30]}',
+            "--k0sq", "0", "--k1sq", "0",
         )
         assert code == 3
         payload = check_schema(err)
-        assert payload["code"] == 3
+        assert payload == {"error": "no lower bracket endpoint after 60 expansions", "code": 3}
 
     def test_norm_budget_exit_code(self, capsys):
         code, _, err = run_cli(

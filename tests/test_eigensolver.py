@@ -9,7 +9,6 @@ from sl_extremal import (
     BracketNotFound,
     Potential,
     RobinBC,
-    SolverConfig,
     SpikeTrainSpec,
     StepPotential,
     ZeroFunction,
@@ -177,9 +176,9 @@ class TestLambda1:
         assert lambda1(large, BC11).lambda1 < lambda1(small, BC11).lambda1
 
     def test_bracket_not_found_when_expansion_capped(self):
-        cfg = SolverConfig(max_bracket_expansions=3)
-        with pytest.raises(BracketNotFound):
-            lambda1(StepPotential.constant(500.0), BC00, cfg)
+        # lambda_1 = -1e30, but sixty doublings from [-1, 1] only reach 3 - 2**62
+        with pytest.raises(BracketNotFound, match="after 60 expansions"):
+            lambda1(StepPotential.constant(1e30), BC00)
 
     def test_bracket_hint_converges_to_same_value(self):
         q = StepPotential.from_uniform_cells([3.0, 0.5, 7.0, 1.0])
@@ -238,6 +237,18 @@ class TestExactPropagation:
         )
         assert lam == pytest.approx(ref, rel=1e-9)
         assert lam == pytest.approx(-10867.6, abs=0.05)
+
+    def test_stiff_train_stops_on_bracket_width(self):
+        # theta(1; lambda) on this train carries rounding noise above 1e-10, so
+        # a residual condition would bisect the bracket down to a few ulps
+        table = verify_thm1(0.5, BC00, [1000.0])
+        detail = table.details[0]
+        spec = SpikeTrainSpec(1000.0, 0.1, detail["spikes"], detail["height"], detail["nu"])
+        res = lambda1(statement2_family(spec, 0.5)[0], BC00)
+        lo, hi = res.bracket
+        tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+        assert 0.1 * tol <= hi - lo <= tol
+        assert res.lambda1 == table.rows[0].lambda1
 
     @pytest.mark.parametrize("with_delta", [False, True])
     def test_bracket_encloses_the_root(self, with_delta):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sl_extremal import (
+    ConvergenceTable,
     ExtremumSearchSpec,
     NormBudgetExceeded,
     RobinBC,
@@ -186,6 +187,13 @@ class TestVerifyThm1:
         assert row.lambda1 < -5.0
         assert detail["gamma_norm_error"] <= 1e-10
         assert 0.0 < detail["kappa"] < 1.0
+
+    def test_both_protocols_share_one_table_type(self):
+        thm1 = verify_thm1(0.5, BC00, [10.0])
+        thm2 = verify_thm2(2.0, BC00, [10])
+        assert type(thm1) is ConvergenceTable and type(thm2) is ConvergenceTable
+        assert len(thm1.details) == 1 and thm2.details == ()
+        assert thm1.to_csv().splitlines()[0] == thm2.to_csv().splitlines()[0]
 
     def test_levels_strictly_decreasing(self):
         table = verify_thm1(0.5, BC00, [10.0, 100.0])

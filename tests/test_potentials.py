@@ -191,6 +191,21 @@ class TestShift:
         assert np.array_equal(q.breakpoints, q0.breakpoints)
 
 
+class TestValueAt:
+    def test_cells_are_half_open_to_the_right(self):
+        q = StepPotential([0.0, 0.25, 0.5, 1.0], [1.0, 2.0, 3.0])
+        assert q.value_at(0.0) == 1.0
+        assert q.value_at(0.2) == 1.0
+        assert q.value_at(0.25) == 2.0
+        assert q.value_at(0.5) == 3.0
+        assert q.value_at(1.0) == 3.0
+
+    def test_outside_the_interval_takes_the_end_cells(self):
+        q = StepPotential([0.0, 0.5, 1.0], [1.0, 2.0])
+        assert q.value_at(-1.0) == 1.0
+        assert q.value_at(2.0) == 2.0
+
+
 class TestRefineCommon:
     def test_coarse_against_fine(self):
         a = StepPotential([0.0, 1.0], [2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ class TestWminus1Norm:
             f, g = random_measure(rng), random_measure(rng)
             nf = wminus1_norm(f, 256)
             ng = wminus1_norm(g, 256)
-            nfg = wminus1_norm(f + g, 256)
+            # ||f - g|| <= ||f|| + ||-g||, and ||-g|| = ||g||
+            nfg = wminus1_norm(f - g, 256)
             assert nfg <= (nf + ng) * (1.0 + 1e-9)
 
     def test_homogeneity(self):
@@ -212,10 +214,12 @@ class TestAgainstReference:
         f = SignedMeasure([0, 1], [0.0], [(0.25, 1e308), (0.75, 1e308)])
         with pytest.raises(ValueError):
             wminus1_norm(f, 256)
-        # the loads of two masses on one node overflow before the solve
+        # the loads of two masses on one node overflow before the solve; the
+        # error is the only report, with no numpy warning before it
         g = SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5 + 1e-9, 1e308)])
-        with pytest.raises(ValueError):
-            with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
                 wminus1_norm(g, 256)
 
 
@@ -281,3 +285,16 @@ class TestSignedMeasureType:
             SignedMeasure([0.0, 0.5], [1.0])
         with pytest.raises(ValueError):
             SignedMeasure([0, 1], [0.0], [(1.5, 1.0)])
+
+    def test_merged_weight_must_be_finite(self):
+        with pytest.raises(ValueError):
+            SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5, 1e308)])
+        m = SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5, -1e308), (0.5, 1.0)])
+        assert m.deltas == ((0.5, 1.0),)
+
+    def test_overflowing_difference_raises_without_a_warning(self):
+        high = SignedMeasure([0, 1], [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                high - high.scaled(-1.0)
