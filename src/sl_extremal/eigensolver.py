@@ -11,12 +11,13 @@ first reaches pi - arccot(k1^2); theta(1; lambda) is strictly increasing in
 lambda.  On a cell where c = lambda + q is constant, y'' + c y = 0 has a
 closed-form solution, so the angle is advanced exactly (Pruess, SIAM J.
 Numer. Anal. 10, 1973; Pryce, "Numerical Solution of Sturm-Liouville
-Problems", 1993): for c > 0 the scaled angle atan2(sqrt(c) y, y') grows by
-sqrt(c) * length, and for c <= 0 (y, y') maps through cosh/sinh.  A point
-mass w * delta(x - site) integrates to the jump cot(theta+) = cot(theta-) - w
-taken inside the same pi-period.  theta(1; lambda) is thus exact up to
-rounding for every step + delta potential, and lambda_1 is found by bracket
-doubling plus Illinois regula falsi, which keeps a sign-change bracket.
+Problems", 1993): for c >= 1 the scaled angle atan2(sqrt(c) y, y') grows by
+sqrt(c) * length, and for c < 1 (y, y') maps through cos/sin or cosh/sinh.
+A point mass w * delta(x - site) integrates to the jump
+cot(theta+) = cot(theta-) - w taken inside the same pi-period.
+theta(1; lambda) is thus exact up to rounding for every step + delta
+potential, and lambda_1 is found by bracket doubling plus Illinois regula
+falsi, which keeps a sign-change bracket.
 
 An independent P1 finite-element discretization of the associated quadratic
 form (``lambda1_fd``) serves as a cross-check, and ``lambda1_zero`` evaluates
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf
 
 from .potentials import Potential, _cell_values, as_potential
 
@@ -129,21 +129,23 @@ def _segments(pot: Potential) -> tuple[list[tuple[float, float, float, float]], 
 
 
 def _cell(theta: float, c: float, length: float, amplitude: bool = False):
-    """Exact Prufer update across a cell of length ``length`` on which
+    """Exact Prufer update across a cell of length ``length`` <= 1 on which
     y'' + c y = 0.
 
     Returns the angle at the right end, or with ``amplitude`` the pair
-    (angle, log(rho_right / rho_left)).  For c > 0 the scaled angle
-    atan2(sqrt(c) y, y') advances by exactly sqrt(c) * length.  For c <= 0,
-    (y, y') maps through cosh/sinh (the straight line at c = 0), divided by
-    cosh so nothing overflows; such a solution vanishes at most once, so the
-    sign of the new y picks the pi-period of the new angle.
+    (angle, log(rho_right / rho_left)).  For c >= 1 the scaled angle
+    atan2(sqrt(c) y, y') advances by exactly sqrt(c) * length.  For c < 1,
+    (y, y') maps through cos/sin (the straight line at c = 0, cosh/sinh for
+    c < 0), divided by cos or cosh so nothing overflows; the scaled angle
+    would lose y once sqrt(c) |y| drops below an ulp of |y'|.  Such a
+    solution vanishes at most once on the cell, so the sign of the new y
+    picks the pi-period of the new angle.
     """
     j = math.floor(theta / math.pi)
     t = theta - j * math.pi
     y = math.sin(t)
     dy = math.cos(t)
-    if c > 0.0:
+    if c >= 1.0:
         k = math.sqrt(c)
         phi = math.atan2(k * y, dy) + k * length
         n = math.floor(phi / math.pi)
@@ -155,8 +157,13 @@ def _cell(theta: float, c: float, length: float, amplitude: bool = False):
             return theta
         # y = A sin(phi), y' = A k cos(phi) with A fixed across the cell
         return theta, math.log(math.hypot(k * y, dy) * math.hypot(sp, kcp) / k)
-    kl = math.sqrt(-c) * length
-    s = length if kl == 0.0 else length * math.tanh(kl) / kl
+    kl = math.sqrt(abs(c)) * length  # < 1 < pi/2 when c > 0
+    if kl == 0.0:
+        s = length
+    elif c > 0.0:
+        s = length * math.tan(kl) / kl
+    else:
+        s = length * math.tanh(kl) / kl
     y1 = y + dy * s
     dy1 = dy - c * s * y
     if y1 < 0.0:  # the solution crossed zero inside the cell
@@ -165,8 +172,11 @@ def _cell(theta: float, c: float, length: float, amplitude: bool = False):
         theta = j * math.pi + math.atan2(abs(y1), dy1)
     if not amplitude:
         return theta
-    log_cosh = kl + math.log1p(math.exp(-2.0 * kl)) - _LN2
-    return theta, math.log(math.hypot(y1, dy1)) + log_cosh
+    if c > 0.0:
+        log_scale = math.log(math.cos(kl))
+    else:
+        log_scale = kl + math.log1p(math.exp(-2.0 * kl)) - _LN2  # log cosh
+    return theta, math.log(math.hypot(y1, dy1)) + log_scale
 
 
 def _delta_jump(theta: float, w: float) -> float:
@@ -451,6 +461,10 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
 
     for site, w in masses:
         kd[np.searchsorted(grid, site)] -= w
+
+    # scipy loads on first use: only this oracle and wminus1_norm need it,
+    # and importing it at the top would double the package's import time
+    from scipy.linalg.lapack import dpttrf
 
     def below(sigma: float) -> bool:
         """True when K - sigma M is positive definite, i.e. sigma < lambda_1."""

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .eigensolver import RobinBC, lambda1, lambda1_zero
+from .eigensolver import RobinBC, lambda1, lambda1_zero, theta_end
 from .jsonio import to_csv
 from .potentials import StepPotential, normalize_gamma, pnorm
 
@@ -97,8 +97,13 @@ class ConvergenceTable:
 # --- the explicit families ---------------------------------------------------
 
 def _aligned_support(zeta: float, width: float) -> tuple[float, float]:
-    """Support [x1, x1 + width] near zeta whose endpoints differ by exactly
-    the double ``width``, so closed-form norm sums incur no cancellation."""
+    """Support [x1, x2] of length ``width`` ending near zeta.
+
+    The loop settles the endpoints so that x1 + width rounds to x2 and
+    x2 - width rounds to x1 (or x1 is clipped to 0).  The exact length
+    x2 - x1 still equals ``width`` only up to half an ulp of x2, at most
+    2^-54: at width = 1e-6, zeta = 1/2 it is 2.7e-17 short.
+    """
     x1 = max(zeta - width, 0.0)
     x2 = x1 + width
     for _ in range(6):
@@ -133,7 +138,11 @@ def statement1_family(zeta: float, n: int, gamma: float) -> tuple[StepPotential,
     The support is ((zeta - 1/n)^+, (zeta - 1/n)^+ + 1/n), clipped into [0,1]
     by the positive part.  Returns the potential together with its gamma-norm
     n^((gamma-1)/gamma), which is < 1 for gamma in (0, 1) and shrinks to 0 as
-    n grows even though the spike converges to a unit point mass.
+    n grows even though the spike converges to a unit point mass.  That value
+    is the norm of a spike exactly 1/n wide; the built spike's float
+    endpoints make its width off by up to 2^-54 (see ``_aligned_support``),
+    so ``pnorm`` of it can differ from the returned value by up to about
+    n * 2^-54 / gamma relative (1.07e-10 at n = 1e6, zeta = 1/2, gamma = 1/4).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -371,8 +380,10 @@ class ExtremumSearchSpec:
 
     Proposals multiply one cell height by (1 + step) or its reciprocal and
     renormalize back onto A_gamma, so every iterate satisfies the constraint
-    exactly.  The step shrinks after a full sweep without improvement and the
-    search stops at max_iters or once step < step_min.
+    exactly.  A proposal is accepted only when its lambda_1 lies strictly
+    beyond the incumbent's in the search direction (see ``search_extremum``).
+    The step shrinks after a full sweep without improvement and the search
+    stops at max_iters or once step < step_min.
     """
 
     gamma: float
@@ -419,7 +430,18 @@ class SearchResult:
 
 
 def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
-    """Empirical probe of the extremal eigenvalue over A_gamma."""
+    """Empirical probe of the extremal eigenvalue over A_gamma.
+
+    Each proposal is decided by one shooting evaluation: theta(1; lambda) is
+    strictly increasing in lambda and meets pi - arccot(k1^2) at lambda_1, so
+    theta(1; best) below the target means lambda_1(candidate) > best, and
+    above it means lambda_1(candidate) < best.  Only a proposal on the
+    improving side is solved, from a bracket with ``best`` at one end, and it
+    is accepted only if the solved eigenvalue is strictly better than
+    ``best``, which rounding of a root within 1e-13 of ``best`` can undo.
+    The trace therefore holds only theta-confirmed improvements and is
+    strictly monotone; ``evaluations`` counts the proposals evaluated.
+    """
     if spec.start is not None:
         if spec.start.heights.size != spec.cells:
             raise ValueError("start potential must have spec.cells cells")
@@ -428,12 +450,8 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
         q = StepPotential.from_uniform_cells(np.ones(spec.cells))
 
     sign = -1.0 if spec.mode == "min" else 1.0
-
-    def objective(pot: StepPotential, hint):
-        res = lambda1(pot, bc, bracket_hint=hint)
-        return res.lambda1
-
-    best_lam = objective(q, None)
+    target = bc.theta_target
+    best_lam = lambda1(q, bc).lambda1
     evaluations = 1
     trace = [(0, best_lam)]
     step = spec.step_init
@@ -454,9 +472,13 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
         if cand.max_height() > spec.height_cap:
             rejects += 1
         else:
-            span = max(1.0, 0.1 * abs(best_lam))
-            lam = objective(cand, (best_lam - span, best_lam + span))
             evaluations += 1
+            # the side of the target theta(1; best_lam) falls on decides the move
+            lam = best_lam
+            if sign * (theta_end(cand, bc, best_lam) - target) < 0.0:
+                span = max(1.0, 0.1 * abs(best_lam))
+                hint = (best_lam, best_lam + span) if sign > 0 else (best_lam - span, best_lam)
+                lam = lambda1(cand, bc, bracket_hint=hint).lambda1
             if sign * (lam - best_lam) > 0.0:
                 q = cand
                 best_lam = lam

@@ -228,15 +228,21 @@ def pnorm(y, p: float) -> float:
     if p == 0.0:
         return float(math.exp(np.dot(w, np.log(h))))
     wp = w[positive]
-    logs = np.log(h[positive])
-    # S - 1 with S = integral of h^p; exact -sum(w) contribution from zero cells.
-    s_minus_1 = float(np.dot(wp, np.expm1(p * logs)) - w[~positive].sum())
-    if s_minus_1 <= -1.0:
-        return 0.0 if p > 0 else math.inf
-    if abs(s_minus_1) <= 0.5:
-        log_s = math.log1p(s_minus_1)
-    else:
-        log_s = float(np.log(np.dot(wp, np.exp(p * logs))))
+    x = p * np.log(h[positive])
+    with np.errstate(over="ignore", under="ignore"):  # both are handled below
+        # S - 1 with S = integral of h^p; exact -sum(w) contribution from zero cells.
+        s_minus_1 = float(np.dot(wp, np.expm1(x)) - w[~positive].sum())
+        if abs(s_minus_1) <= 0.5:
+            return float(math.exp(math.log1p(s_minus_1) / p))
+        if not wp.size:
+            return 0.0  # every cell vanishes, which only p > 0 allows
+        # S - 1 is -1 to rounding once S < 2^-53, so S itself is summed here
+        s = float(np.dot(wp, np.exp(x)))
+        if 0.0 < s < math.inf:
+            log_s = float(np.log(s))
+        else:  # S under- or overflows: log-sum-exp
+            top = float(x.max())
+            log_s = top + float(np.log(np.dot(wp, np.exp(x - top))))
     return float(math.exp(log_s / p))
 
 

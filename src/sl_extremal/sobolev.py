@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .potentials import Potential, StepPotential, _as_float_array, _cell_values
 
@@ -235,6 +234,8 @@ def wminus1_norm(f, grid_n: int) -> float:
         raise ValueError("W^-1 norm: the load vector overflows")
     k = math.frexp(top)[1]
     b = np.ldexp(b, -k)
+    from scipy.linalg.lapack import dptsv  # imported late, as in lambda1_fd
+
     u = dptsv(diag, off, b)[2]
     val = float(np.dot(b, u))
     try:

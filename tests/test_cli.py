@@ -157,6 +157,42 @@ class TestWdist:
         assert check_schema(proc.stderr)["code"] == 2
 
 
+class TestStartup:
+    SCRIPT = """
+import contextlib, io, sys
+from sl_extremal.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["eig", "--q-json", {q_step!r}, "--k0sq", "1", "--k1sq", "4"]),
+        main(["verify-thm1", "--gamma", "0.5", "--k0sq", "0", "--k1sq", "0", "--rho", "10,100"]),
+        main(["search", "--mode", "max", "--gamma", "2", "--cells", "4",
+              "--k0sq", "1", "--k1sq", "1", "--max-iters", "25"]),
+    ]
+print(codes, "scipy" in sys.modules)
+from sl_extremal import Potential, RobinBC, StepPotential, lambda1_fd
+q = Potential(StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0]), [(0.4, 2.0)])
+print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)))
+main(["wdist", "--f-json", {delta!r}, "--grid-n", "1024"])
+"""
+
+    def test_scipy_loads_only_for_the_oracle_and_negative_norms(self):
+        # a fresh interpreter, since pytest itself has imported scipy by now
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT.format(q_step=Q_STEP, delta=DELTA_HALF)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the oracle and the distance read as they did with a top-level import
+        assert proc.stdout.splitlines() == [
+            "[0, 0, 0] False",
+            "-3.1486782112178844",
+            '{"wminus1_dist":1.0401810551651851,"grid_n":1024}',
+        ]
+
+
 class TestFamily:
     def test_statement1_example(self, capsys):
         code, out, _ = run_cli(

@@ -267,15 +267,24 @@ class TestExactPropagation:
 
 
 class TestEigenfunction:
-    def test_zero_potential_robin_ground_state(self):
-        # q = 0, y'(0) = y(0), y'(1) = -y(1): y = omega cos(omega x) + sin(omega x)
-        res = lambda1(StepPotential.constant(0.0), BC11, eigenfunction_samples=64)
-        omega = math.sqrt(lambda1_zero(BC11))
+    @staticmethod
+    def _robin_ground_state_error(a: float) -> float:
+        # q = 0, y'(0) = a y(0), y'(1) = -a y(1): y = omega cos(omega x) + a sin(omega x)
+        bc = RobinBC(a, a)
+        res = lambda1(StepPotential.constant(0.0), bc, eigenfunction_samples=64)
+        omega = math.sqrt(lambda1_zero(bc))
         xs = np.array([x for x, _ in res.eigenfunction_samples])
-        exact = omega * np.cos(omega * xs) + np.sin(omega * xs)
+        exact = omega * np.cos(omega * xs) + a * np.sin(omega * xs)
         exact /= np.max(np.abs(exact))
         ys = np.array([y for _, y in res.eigenfunction_samples])
-        assert np.max(np.abs(ys - exact)) <= 1e-10
+        return np.max(np.abs(ys - exact))
+
+    def test_zero_potential_robin_ground_state(self):
+        assert self._robin_ground_state_error(1.0) <= 1e-10
+
+    def test_zero_potential_robin_ground_state_below_one(self):
+        # lambda_1 = 0.197, so every cell takes the cos/sin transfer map
+        assert self._robin_ground_state_error(0.1) <= 1e-10
 
     def test_samples_cover_grid_and_are_normalized(self):
         res = lambda1(StepPotential.constant(1.0), BC11, eigenfunction_samples=64)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -13,15 +14,20 @@ from sl_extremal import (
     lambda1,
     lambda1_fd,
     lambda1_zero,
+    normalize_gamma,
     pnorm,
     search_extremum,
     statement1_family,
     statement2_family,
     statement3_family,
+    theta_end,
     verify_thm1,
     verify_thm2,
 )
+from sl_extremal import eigensolver
 from sl_extremal.families import CSV_HEADER, statement2_budget
+
+from conftest import random_positive_step
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
@@ -57,6 +63,26 @@ class TestStatement1Family:
                 ref = float(n) ** ((gamma - 1.0) / gamma)
                 assert gn == pytest.approx(ref, rel=1e-15)
                 assert pnorm(q, gamma) == pytest.approx(ref, rel=1e-12)
+
+    def test_built_spike_width_and_norm_are_off_by_rounding_only(self):
+        # the float endpoints make the width off by at most 2^-54, so the
+        # returned n^((gamma-1)/gamma) and pnorm of the built spike differ by
+        # at most about n * 2^-54 / gamma relative
+        rng = np.random.default_rng(5)
+        zetas = [0.0, 0.1, 1.0 / 3.0, 0.5, 0.9, 1.0, *rng.uniform(0.0, 1.0, 6)]
+        for n in (3, 7, 100, 12345, 10**4, 10**6):
+            for zeta in zetas:
+                q, _ = statement1_family(zeta, n, 0.5)
+                x1, x2 = (q.breakpoints[1:3] if q.heights[0] == 0.0 else q.breakpoints[:2])
+                gap = Fraction(x2) - Fraction(x1) - Fraction(1.0 / n)
+                assert abs(gap) <= Fraction(2.0**-54)
+                for gamma in (0.1, 0.25, 0.5, 0.9):
+                    q, gn = statement1_family(zeta, n, gamma)
+                    rel = abs(pnorm(q, gamma) - gn) / gn
+                    assert rel <= n * 2.0**-54 / gamma + 1e-14
+        # the worst case the limits benchmark reads
+        q, gn = statement1_family(0.5, 10**6, 0.25)
+        assert abs(pnorm(q, 0.25) - gn) / gn == pytest.approx(1.07e-10, rel=0.01)
 
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
@@ -255,6 +281,63 @@ class TestSearchExtremum:
                                   height_cap=100.0)
         res = search_extremum(spec, BC00)
         assert pnorm(res.best_q, 0.5) == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_theta_evaluation_decides_like_two_solves(self):
+        # the move rule of search_extremum: with best the incumbent's
+        # eigenvalue, sign * (theta(1; best) - target) < 0 exactly when
+        # lambda_1(cand) lies beyond best in the search direction
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(30):
+            bc = RobinBC(*rng.uniform(0.0, 4.0, size=2))
+            gamma = float(rng.choice([0.5, 2.0]))
+            q, _ = normalize_gamma(random_positive_step(rng), gamma)
+            heights = q.heights.copy()
+            heights[rng.integers(heights.size)] *= rng.uniform(0.5, 2.0)
+            cand, _ = normalize_gamma(StepPotential(q.breakpoints, heights), gamma)
+            lam_q = lambda1(q, bc).lambda1
+            lam_c = lambda1(cand, bc).lambda1
+            scale = max(1.0, abs(lam_c))
+            for best in (lam_q, *(lam_c + r * scale for r in (-1e-2, -1e-11, 1e-11, 1e-2))):
+                if abs(lam_c - best) <= 1e-12 * max(1.0, abs(best)):
+                    continue
+                gap = theta_end(cand, bc, best) - bc.theta_target
+                for sign in (1.0, -1.0):
+                    assert (sign * gap < 0.0) == (sign * (lam_c - best) > 0.0)
+                checked += 1
+        assert checked >= 140
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_trace_is_strictly_monotone(self, mode, seeded):
+        rng = np.random.default_rng(3)
+        if mode == "max":
+            cells, kw, bc = 8, dict(gamma=2.0, max_iters=500), BC11
+        else:
+            cells, kw, bc = 16, dict(gamma=0.5, max_iters=150, step_init=2.0, height_cap=32.0), BC00
+        start = StepPotential.from_uniform_cells(rng.uniform(0.2, 5.0, size=cells)) if seeded else None
+        res = search_extremum(ExtremumSearchSpec(mode=mode, cells=cells, start=start, **kw), bc)
+        values = [v for _, v in res.trace]
+        steps = np.diff(values) if mode == "max" else -np.diff(values)
+        assert len(values) > 10 and np.all(steps > 0.0)
+        assert res.best_lambda == values[-1]
+        assert res.best_lambda == pytest.approx(lambda1(res.best_q, bc).lambda1, rel=1e-12)
+
+    def test_readme_search_theta_evaluations(self, monkeypatch):
+        calls = 0
+        original = eigensolver._theta_end_prepared
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(eigensolver, "_theta_end_prepared", counted)
+        spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500)
+        res = search_extremum(spec, BC11)
+        assert res.evaluations == 501
+        # a rejected proposal costs one theta-evaluation, a full solve about 19
+        assert calls <= 2500
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

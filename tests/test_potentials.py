@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ class TestPnorm:
             p = float(rng.uniform(-3.0, 3.0))
             c = float(rng.uniform(0.1, 10.0))
             assert pnorm(y.scaled(c), p) == pytest.approx(c * pnorm(y, p), rel=1e-12)
+
+    @pytest.mark.parametrize("h, p", [
+        (1e5, -4.0),      # S = 1e-20: S - 1 rounds to -1
+        (1e-13, 100.0),   # S underflows
+        (1e13, 100.0),    # S overflows
+        (1e-13, -100.0),  # S overflows
+    ])
+    def test_integral_far_from_one(self, h, p):
+        y = StepPotential([0.0, 0.25, 1.0], [h, 2.0 * h])
+        ref = h * (0.25 + 0.75 * 2.0**p) ** (1.0 / p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # handled under/overflow stays silent
+            assert pnorm(y, p) == pytest.approx(ref, rel=1e-13)
 
     def test_nonfinite_exponent_rejected(self):
         with pytest.raises(ValueError):
