@@ -11,9 +11,8 @@ sqrt(max(1/n, 1/m)) controls the spike-to-spike distances.
 import math
 
 from sl_extremal import (
-    Potential,
     RobinBC,
-    SignedMeasure,
+    StepPotential,
     lambda1,
     pnorm,
     statement1_family,
@@ -24,24 +23,24 @@ ZETA = 0.5
 GRID = 2**14
 
 print("== vanishing gamma-norm, unit mass, shrinking distance to the point mass ==")
-delta = SignedMeasure([0, 1], [0.0], [(ZETA, 1.0)])
+delta = StepPotential([0, 1], [0.0], [(ZETA, 1.0)])  # the unit point mass at ZETA
 print(f"{'n':>7} {'||q_n||_0.5':>12} {'mass':>6} {'dist to delta':>14} {'sqrt(1/n)':>10}")
 for n in (10, 100, 1000, 10000):
     q, gnorm = statement1_family(ZETA, n, 0.5)
-    dist = wminus1_dist(SignedMeasure.from_step(q), delta, GRID)
+    dist = wminus1_dist(q, delta, GRID)
     print(f"{n:7d} {gnorm:12.6f} {pnorm(q, 1.0):6.3f} {dist:14.6f} {math.sqrt(1/n):10.6f}")
 
 print("\n== pairwise distances obey the square-root envelope ==")
 for n, m in ((100, 1000), (1000, 10000)):
     qn, _ = statement1_family(ZETA, n, 0.5)
     qm, _ = statement1_family(ZETA, m, 0.5)
-    dist = wminus1_dist(SignedMeasure.from_step(qn), SignedMeasure.from_step(qm), GRID)
+    dist = wminus1_dist(qn, qm, GRID)
     bound = math.sqrt(max(1 / n, 1 / m)) + 2.0 / GRID
     print(f"  dist(q_{n}, q_{m}) = {dist:.6f} <= {bound:.6f}")
 
 print("\n== the eigenvalue follows the singular limit ==")
 bc = RobinBC(1.0, 1.0)
-lam_delta = lambda1(Potential.pure_delta(ZETA, 1.0), bc).lambda1
+lam_delta = lambda1(delta, bc).lambda1
 print(f"lambda1 of the unit point mass: {lam_delta:.8f}")
 for n in (10, 100, 1000, 10000):
     q, _ = statement1_family(ZETA, n, 0.5)

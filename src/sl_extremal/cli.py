@@ -1,10 +1,11 @@
 """Command-line interface: every computation as a subcommand with CSV/JSON output.
 
-Exit codes: 0 on success, 2 on argument/validation errors, 3 on computational
-failures (bracket expansion exhausted, spike-train norm budget exceeded, or a
-verification assertion violated).  Errors are reported as a one-line JSON
-object on stderr.  All floating-point output carries 17 significant digits,
-so identical invocations are byte-identical and every value round-trips.
+Exit codes: 0 on success, 2 on argument/validation errors (an input too large
+to allocate included), 3 on computational failures (bracket expansion
+exhausted, spike-train norm budget exceeded, or a verification assertion
+violated).  Errors are reported as a one-line JSON object on stderr.  All
+floating-point output carries 17 significant digits, so identical
+invocations are byte-identical and every value round-trips.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .families import (
     verify_thm2,
 )
 from .jsonio import dumps, to_csv
-from .potentials import Potential, pnorm
-from .sobolev import SignedMeasure, wminus1_dist
+from .potentials import StepPotential, pnorm
+from .sobolev import wminus1_dist
 
 __all__ = ["main", "entrypoint"]
 
@@ -43,33 +44,27 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _parse_potential(args, prefix: str = "q") -> Potential:
+def _parse_potential(args, prefix: str = "q", *, signed: bool = False,
+                     default: StepPotential | None = None) -> StepPotential:
+    """The potential given by --<prefix>-json or --<prefix>-file, or
+    ``default`` when neither is given; unless ``signed``, heights and weights
+    must be nonnegative."""
     inline = getattr(args, f"{prefix}_json", None)
     path = getattr(args, f"{prefix}_file", None)
     if inline is None and path is None:
-        raise CLIError(f"one of --{prefix}-json or --{prefix}-file is required")
+        if default is None:
+            raise CLIError(f"one of --{prefix}-json or --{prefix}-file is required")
+        return default
     if inline is not None and path is not None:
         raise CLIError(f"--{prefix}-json and --{prefix}-file are mutually exclusive")
     text = inline if inline is not None else open(path, "r", encoding="utf-8").read()
     try:
-        data = json.loads(text)
-        return Potential.from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        q = StepPotential.from_dict(json.loads(text))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CLIError(f"invalid potential ({prefix}): {exc}") from exc
-
-
-def _parse_measure(args, prefix: str) -> SignedMeasure | None:
-    inline = getattr(args, f"{prefix}_json", None)
-    path = getattr(args, f"{prefix}_file", None)
-    if inline is None and path is None:
-        return None
-    if inline is not None and path is not None:
-        raise CLIError(f"--{prefix}-json and --{prefix}-file are mutually exclusive")
-    text = inline if inline is not None else open(path, "r", encoding="utf-8").read()
-    try:
-        return SignedMeasure.from_dict(json.loads(text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CLIError(f"invalid measure ({prefix}): {exc}") from exc
+    if not signed and (q.heights.min() < 0.0 or any(w < 0.0 for _, w in q.deltas)):
+        raise CLIError(f"invalid potential ({prefix}): negative height or weight")
+    return q
 
 
 def _bc(args) -> RobinBC:
@@ -110,8 +105,8 @@ def _add_bc_options(p):
 # --- handlers ----------------------------------------------------------------
 
 def _cmd_eig(args) -> str:
-    pot = _parse_potential(args)
-    result = lambda1(pot, _bc(args), eigenfunction_samples=args.eigenfunction)
+    q = _parse_potential(args)
+    result = lambda1(q, _bc(args), eigenfunction_samples=args.eigenfunction)
     if args.format == "json":
         return dumps(result.to_dict()) + "\n"
     row = [
@@ -132,21 +127,17 @@ def _cmd_eig_zero(args) -> str:
 
 
 def _cmd_norms(args) -> str:
-    pot = _parse_potential(args)
+    q = _parse_potential(args)
     exponents = _float_list(args.p, "p")
-    rows = [(p, pnorm(pot, p)) for p in exponents]
+    rows = [(p, pnorm(q, p)) for p in exponents]
     if args.format == "json":
         return dumps({"rows": [{"p": p, "value": v} for p, v in rows]}) + "\n"
     return to_csv(["p", "value"], rows)
 
 
 def _cmd_wdist(args) -> str:
-    f = _parse_measure(args, "f")
-    if f is None:
-        raise CLIError("one of --f-json or --f-file is required")
-    g = _parse_measure(args, "g")
-    if g is None:
-        g = SignedMeasure.zero()
+    f = _parse_potential(args, "f", signed=True)
+    g = _parse_potential(args, "g", signed=True, default=StepPotential.constant(0.0))
     if args.grid_n < 64:
         raise CLIError("--grid-n must be >= 64")
     value = wminus1_dist(f, g, args.grid_n)
@@ -321,7 +312,7 @@ def main(argv=None) -> int:
     except (BracketNotFound, NormBudgetExceeded, VerificationError) as exc:
         _emit_error(str(exc), 3)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _emit_error(str(exc), 2)
         return 2
     if args.output is not None:

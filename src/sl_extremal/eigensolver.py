@@ -11,8 +11,9 @@ first reaches pi - arccot(k1^2); theta(1; lambda) is strictly increasing in
 lambda.  On a cell where c = lambda + q is constant, y'' + c y = 0 has a
 closed-form solution, so the angle is advanced exactly (Pruess, SIAM J.
 Numer. Anal. 10, 1973; Pryce, "Numerical Solution of Sturm-Liouville
-Problems", 1993): for c >= 1 the scaled angle atan2(sqrt(c) y, y') grows by
-sqrt(c) * length, and for c < 1 (y, y') maps through cos/sin or cosh/sinh.
+Problems", 1993): where sqrt(c) * length > 1 the scaled angle
+atan2(sqrt(c) y, y') grows by sqrt(c) * length, and elsewhere (y, y') maps
+through cos/sin or cosh/sinh.
 A point mass w * delta(x - site) integrates to the jump
 cot(theta+) = cot(theta-) - w taken inside the same pi-period.
 theta(1; lambda) is thus exact up to rounding for every step + delta
@@ -31,7 +32,7 @@ import math
 
 import numpy as np
 
-from .potentials import Potential, _cell_values, as_potential
+from .potentials import StepPotential, _cell_values
 
 __all__ = [
     "RobinBC",
@@ -108,16 +109,16 @@ class EigenResult:
 _LN2 = math.log(2.0)
 
 
-def _segments(pot: Potential) -> tuple[list[tuple[float, float, float, float]], float]:
+def _segments(q: StepPotential) -> tuple[list[tuple[float, float, float, float]], float]:
     """Split [0,1] at step breakpoints and delta sites.
 
     Returns (cells, w0): cells lists (right, length, height, w) in order, where
     w is the point mass at the cell's right end (0.0 if none), and w0 is the
     point mass at x = 0.
     """
-    bps = pot.step.breakpoints.tolist()
-    heights = pot.step.heights.tolist()
-    masses = {float(d.site): d.weight for d in pot.deltas}  # sites are distinct
+    bps = q.breakpoints.tolist()
+    heights = q.heights.tolist()
+    masses = dict(q.deltas)  # sites are distinct
     grid = sorted(set(bps) | set(masses))
     cells = []
     i = 0  # the step cell [bps[i], bps[i + 1]) that holds [a, b]
@@ -133,19 +134,22 @@ def _cell(theta: float, c: float, length: float, amplitude: bool = False):
     y'' + c y = 0.
 
     Returns the angle at the right end, or with ``amplitude`` the pair
-    (angle, log(rho_right / rho_left)).  For c >= 1 the scaled angle
-    atan2(sqrt(c) y, y') advances by exactly sqrt(c) * length.  For c < 1,
-    (y, y') maps through cos/sin (the straight line at c = 0, cosh/sinh for
-    c < 0), divided by cos or cosh so nothing overflows; the scaled angle
-    would lose y once sqrt(c) |y| drops below an ulp of |y'|.  Such a
-    solution vanishes at most once on the cell, so the sign of the new y
-    picks the pi-period of the new angle.
+    (angle, log(rho_right / rho_left)).  Where sqrt(c) * length > 1 with
+    c > 0, the scaled angle atan2(sqrt(c) y, y') advances by exactly
+    sqrt(c) * length.  Otherwise (y, y') maps through cos/sin (the straight
+    line at c = 0, cosh/sinh for c < 0), divided by cos or cosh so nothing
+    overflows.  The scaled angle would lose y once sqrt(c) |y| drops below
+    an ulp of |y'|, and on a thin cell (sqrt(c) * length << 1) it sits at
+    pi/2 to rounding whatever the cell does.  A solution on the cos/sin
+    branch vanishes at most once on the cell, so the sign of the new y picks
+    the pi-period of the new angle.
     """
     j = math.floor(theta / math.pi)
     t = theta - j * math.pi
     y = math.sin(t)
     dy = math.cos(t)
-    if c >= 1.0:
+    kl = math.sqrt(abs(c)) * length  # <= 1 < pi/2 where c > 0 takes cos/sin
+    if c > 0.0 and kl > 1.0:
         k = math.sqrt(c)
         phi = math.atan2(k * y, dy) + k * length
         n = math.floor(phi / math.pi)
@@ -157,7 +161,6 @@ def _cell(theta: float, c: float, length: float, amplitude: bool = False):
             return theta
         # y = A sin(phi), y' = A k cos(phi) with A fixed across the cell
         return theta, math.log(math.hypot(k * y, dy) * math.hypot(sp, kcp) / k)
-    kl = math.sqrt(abs(c)) * length  # < 1 < pi/2 when c > 0
     if kl == 0.0:
         s = length
     elif c > 0.0:
@@ -210,7 +213,7 @@ def theta_end(q, bc: RobinBC, lam: float) -> float:
     cell and the cotangent jump rule at point masses, so the value is exact
     up to rounding.
     """
-    cells, w0 = _segments(as_potential(q))
+    cells, w0 = _segments(q)
     return _theta_end_prepared(cells, w0, bc.theta_start, lam)
 
 
@@ -240,8 +243,7 @@ def lambda1(
     keep above any fixed tolerance.  The returned eigenvalue is the bracket
     end with the smaller residual.  Raises BracketNotFound after 60 doublings.
     """
-    pot = as_potential(q)
-    cells, w0 = _segments(pot)
+    cells, w0 = _segments(q)
     theta0 = bc.theta_start
     target = bc.theta_target
 
@@ -412,22 +414,19 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     """
     if n_nodes < 32:
         raise ValueError("n_nodes must be >= 32")
-    pot = as_potential(q)
-    step = pot.step
     n = int(n_nodes)
     grid = np.linspace(0.0, 1.0, n)
     snap = 1e-6 / (n - 1)
     masses = []
-    for d in pot.deltas:
-        j = int(np.searchsorted(grid, d.site))  # grid[j - 1] < site <= grid[j]
-        if grid[j] - d.site <= snap:
+    for site, w in q.deltas:
+        j = int(np.searchsorted(grid, site))  # grid[j - 1] < site <= grid[j]
+        if grid[j] - site <= snap:
             site = grid[j]
-        elif d.site - grid[j - 1] <= snap:
+        elif site - grid[j - 1] <= snap:
             site = grid[j - 1]
         else:
-            grid = np.insert(grid, j, d.site)
-            site = d.site
-        masses.append((site, d.weight))
+            grid = np.insert(grid, j, site)
+        masses.append((site, w))
     h = np.diff(grid)
 
     kd = np.zeros(grid.size)
@@ -443,12 +442,12 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     kd[-1] += bc.k1sq
 
     # exact assembly of -int q phi_i phi_j over each constant-q piece
-    pts = np.union1d(grid, step.breakpoints)
+    pts = np.union1d(grid, q.breakpoints)
     a = pts[:-1]
     b = pts[1:]
     mids = 0.5 * (a + b)
     elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, grid.size - 2)
-    sval = _cell_values(step.breakpoints, step.heights, mids)
+    sval = _cell_values(q.breakpoints, q.heights, mids)
     he = h[elem]
     ta = (a - grid[elem]) / he
     tb = (b - grid[elem]) / he
@@ -504,7 +503,6 @@ def rayleigh(q, bc: RobinBC, y_samples) -> float:
     masses), so the value is an upper bound for lambda_1 up to the
     quadrature error of the sampling grid.
     """
-    pot = as_potential(q)
     arr = np.asarray(y_samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("y_samples must be a sequence of (x, y) pairs")
@@ -521,17 +519,16 @@ def rayleigh(q, bc: RobinBC, y_samples) -> float:
     num = float(np.sum(dy * dy / dx))
     num += bc.k0sq * ys[0] ** 2 + bc.k1sq * ys[-1] ** 2
 
-    step = pot.step
-    pts = np.union1d(xs, step.breakpoints)
+    pts = np.union1d(xs, q.breakpoints)
     yv = np.interp(pts, xs, ys)
     a = pts[:-1]
     b = pts[1:]
     mids = 0.5 * (a + b)
-    sval = _cell_values(step.breakpoints, step.heights, mids)
+    sval = _cell_values(q.breakpoints, q.heights, mids)
     num -= float(np.sum(sval * 0.5 * (yv[:-1] ** 2 + yv[1:] ** 2) * (b - a)))
 
-    for d in pot.deltas:
-        num -= d.weight * float(np.interp(d.site, xs, ys)) ** 2
+    for site, w in q.deltas:
+        num -= w * float(np.interp(site, xs, ys)) ** 2
 
     den = float(np.sum(0.5 * (ys[:-1] ** 2 + ys[1:] ** 2) * dx))
     if den == 0.0:

@@ -325,7 +325,8 @@ def verify_thm1(
     For each requested level rho* the protocol builds a normalized spike
     train in A_gamma (certified by its gamma-norm) and demands
     lambda_1(q) <= lambda_1(0) - rho* + slack_fraction * rho*; the slack
-    absorbs the finite-train approximation of the constant level.  Rows are
+    absorbs the finite-train approximation of the constant level and must lie
+    in [0, 1), as slack_fraction >= 1 makes the bound vacuous.  Rows are
     (rho*, lambda_1(q), lambda_1(0) - rho*, reference - lambda_1).
     """
     if gamma == 0.0 or gamma >= 1.0:
@@ -335,6 +336,10 @@ def verify_thm1(
         raise ValueError("rho_list must be strictly increasing")
     if levels[0] <= 1.0:
         raise ValueError("levels must exceed 1")
+    if spikes < 1:
+        raise ValueError("need at least one spike")
+    if not 0.0 <= slack_fraction < 1.0:
+        raise ValueError("slack_fraction must lie in [0, 1)")
     if nu is None:
         nu = 0.5 * (max(gamma, 0.0) + 1.0)
     lam0 = lambda1_zero(bc)
@@ -405,7 +410,7 @@ class ExtremumSearchSpec:
             raise ValueError("need at least 2 cells")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.step_init > 0 or not 0.0 < self.step_shrink < 1.0:
+        if not 0.0 < self.step_init < math.inf or not 0.0 < self.step_shrink < 1.0:
             raise ValueError("invalid step schedule")
         if not self.step_min > 0:
             raise ValueError("step_min must be positive")

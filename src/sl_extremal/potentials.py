@@ -1,15 +1,18 @@
 """Step + delta potentials on [0,1] and the extended L^p norm family.
 
-Potentials are piecewise-constant nonnegative functions (optionally carrying
-positive Dirac masses), so every integral used by the norm and normalization
+A potential is a step function plus finitely many Dirac masses.  Heights and
+weights may have either sign, so the same type also holds differences of
+potentials; the norm routines accept only members of the admissible class,
+q >= 0 without masses.  Every integral used by the norm and normalization
 routines is a closed-form sum over cells -- there is no quadrature error
 anywhere in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,18 +63,29 @@ def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
     return heights[np.clip(i, 0, heights.size - 1)]
 
 
+class DeltaComponent(NamedTuple):
+    """Dirac mass weight * delta(x - site); StepPotential keeps site in [0,1]."""
+
+    site: float
+    weight: float
+
+
 @dataclass(frozen=True, eq=False)
 class StepPotential:
-    """Piecewise-constant nonnegative function on [0,1].
+    """Step function on [0,1] plus finitely many point masses.
 
     ``breakpoints`` is the strictly increasing grid 0 = x0 < ... < xK = 1 and
-    ``heights[i]`` is the value on the open cell (x_i, x_{i+1}).
+    ``heights[i]`` is the value on the open cell (x_i, x_{i+1}).  ``deltas``
+    holds the masses sorted by site: masses at one site are merged by adding
+    their weights, and a zero weight is dropped.  Heights and weights may
+    have either sign.
     """
 
     breakpoints: np.ndarray
     heights: np.ndarray
+    deltas: tuple[DeltaComponent, ...] = ()
 
-    def __init__(self, breakpoints, heights):
+    def __init__(self, breakpoints, heights, deltas=()):
         bp = _as_float_array(breakpoints, "breakpoints")
         h = _as_float_array(heights, "heights")
         if bp.size < 2:
@@ -82,19 +96,29 @@ class StepPotential:
             raise ValueError("breakpoints must be strictly increasing")
         if h.size != bp.size - 1:
             raise ValueError("need exactly one height per cell")
-        if np.any(h < 0):
-            raise ValueError("heights must be nonnegative")
+        merged: dict[float, float] = {}
+        for site, w in deltas:
+            site, w = float(site), float(w)
+            if not (0.0 <= site <= 1.0 and math.isfinite(w)):
+                raise ValueError("delta sites must lie in [0,1] with finite weight")
+            merged[site] = merged.get(site, 0.0) + w
+        if not all(map(math.isfinite, merged.values())):
+            raise ValueError("merged delta weight overflows at one site")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "heights", h)
+        object.__setattr__(self, "deltas", tuple(
+            DeltaComponent(s, w) for s, w in sorted(merged.items()) if w != 0.0))
 
+    # the constructors name StepPotential, not cls, so that Potential, whose
+    # __init__ takes (step, deltas), inherits them unchanged
     @classmethod
     def constant(cls, height: float) -> "StepPotential":
-        return cls([0.0, 1.0], [height])
+        return StepPotential([0.0, 1.0], [height])
 
     @classmethod
     def from_uniform_cells(cls, heights) -> "StepPotential":
         h = np.asarray(heights, dtype=float)
-        return cls(np.linspace(0.0, 1.0, h.size + 1), h)
+        return StepPotential(np.linspace(0.0, 1.0, h.size + 1), h)
 
     @property
     def widths(self) -> np.ndarray:
@@ -105,109 +129,67 @@ class StepPotential:
         return float(_cell_values(self.breakpoints, self.heights, x))
 
     def scaled(self, factor: float) -> "StepPotential":
-        return StepPotential(self.breakpoints, self.heights * factor)
+        return StepPotential(self.breakpoints, self.heights * factor,
+                             [(s, w * factor) for s, w in self.deltas])
 
     def max_height(self) -> float:
         return float(self.heights.max())
 
+    def __sub__(self, other: "StepPotential") -> "StepPotential":
+        """Exact difference on the union of both grids."""
+        a, b = refine_common(self, other)
+        with np.errstate(over="ignore"):  # an infinite height is rejected below
+            heights = a.heights - b.heights
+        return StepPotential(a.breakpoints, heights,
+                             [*a.deltas, *((s, -w) for s, w in b.deltas)])
+
     def to_dict(self) -> dict:
-        return {
+        out = {
             "breakpoints": [float(x) for x in self.breakpoints],
             "heights": [float(h) for h in self.heights],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepPotential":
-        return cls(data["breakpoints"], data["heights"])
-
-    def equals(self, other: "StepPotential") -> bool:
-        return np.array_equal(self.breakpoints, other.breakpoints) and np.array_equal(
-            self.heights, other.heights
-        )
-
-
-@dataclass(frozen=True)
-class DeltaComponent:
-    """Dirac mass weight * delta(x - site) with site in [0,1], weight > 0."""
-
-    site: float
-    weight: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.site <= 1.0):
-            raise ValueError("delta site must lie in [0,1]")
-        if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise ValueError("delta weight must be positive and finite")
-
-
-@dataclass(frozen=True)
-class Potential:
-    """A step potential plus finitely many positive point masses.
-
-    Deltas at the same site are merged by adding weights; the stored tuple is
-    sorted by site.
-    """
-
-    step: StepPotential
-    deltas: tuple[DeltaComponent, ...] = field(default=())
-
-    def __init__(self, step: StepPotential, deltas=()):
-        merged: dict[float, float] = {}
-        for d in deltas:
-            if not isinstance(d, DeltaComponent):
-                d = DeltaComponent(*d)
-            merged[d.site] = merged.get(d.site, 0.0) + d.weight
-        out = tuple(DeltaComponent(s, w) for s, w in sorted(merged.items()))
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "deltas", out)
-
-    @classmethod
-    def from_step(cls, step: StepPotential) -> "Potential":
-        return cls(step, ())
-
-    @classmethod
-    def pure_delta(cls, site: float, weight: float) -> "Potential":
-        return cls(StepPotential.constant(0.0), (DeltaComponent(site, weight),))
-
-    def to_dict(self) -> dict:
-        out = self.step.to_dict()
-        out["deltas"] = [
-            {"site": float(d.site), "weight": float(d.weight)} for d in self.deltas
-        ]
+        if self.deltas:
+            out["deltas"] = [{"site": s, "weight": w} for s, w in self.deltas]
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Potential":
-        step = StepPotential.from_dict(data)
-        deltas = tuple(
-            DeltaComponent(float(d["site"]), float(d["weight"]))
-            for d in data.get("deltas", [])
-        )
-        return cls(step, deltas)
+    def from_dict(cls, data: dict) -> "StepPotential":
+        return StepPotential(data["breakpoints"], data["heights"],
+                             [(d["site"], d["weight"]) for d in data.get("deltas", [])])
+
+    def equals(self, other: "StepPotential") -> bool:
+        return (np.array_equal(self.breakpoints, other.breakpoints)
+                and np.array_equal(self.heights, other.heights)
+                and self.deltas == other.deltas)
 
 
-def as_step(q) -> StepPotential:
-    """Coerce to a StepPotential; a Potential must carry no deltas."""
-    if isinstance(q, StepPotential):
-        return q
-    if isinstance(q, Potential):
-        if q.deltas:
-            raise ValueError("operation is defined for L^p functions only; "
-                             "this potential carries delta components")
-        return q.step
-    raise TypeError(f"expected StepPotential or Potential, got {type(q).__name__}")
+class Potential(StepPotential):
+    """``Potential(step, deltas)`` is the StepPotential ``step`` with the point
+    masses ``deltas`` added; it has no fields of its own.
+    ``Potential.pure_delta(site, weight)`` is a lone mass over q = 0.
+    """
+
+    def __init__(self, step: StepPotential, deltas=()):
+        super().__init__(step.breakpoints, step.heights, [*step.deltas, *deltas])
+
+    @classmethod
+    def pure_delta(cls, site: float, weight: float) -> StepPotential:
+        return StepPotential([0.0, 1.0], [0.0], [(site, weight)])
 
 
-def as_potential(q) -> Potential:
-    if isinstance(q, Potential):
-        return q
-    if isinstance(q, StepPotential):
-        return Potential.from_step(q)
-    raise TypeError(f"expected StepPotential or Potential, got {type(q).__name__}")
+def _require_admissible(q: StepPotential) -> None:
+    """Reject q unless it is an L^p function >= 0: no deltas, no negative
+    height."""
+    if q.deltas:
+        raise ValueError("operation is defined for L^p functions only; "
+                         "this potential carries delta components")
+    if np.any(q.heights < 0):
+        raise ValueError("heights must be nonnegative")
 
 
 def pnorm(y, p: float) -> float:
-    """Extended L^p norm of a step function for any real exponent.
+    """Extended L^p norm of a nonnegative step function (no point masses)
+    for any real exponent.
 
     For p != 0 returns (sum_i h_i^p dx_i)^(1/p); at p = 0 returns the
     geometric mean exp(sum_i ln(h_i) dx_i), which is the limit of the p != 0
@@ -215,7 +197,7 @@ def pnorm(y, p: float) -> float:
     p <= 0.  The sum is evaluated through expm1/log1p so the result stays
     accurate uniformly in p, including p within rounding distance of 0.
     """
-    y = as_step(y)
+    _require_admissible(y)
     if not math.isfinite(p):
         raise ValueError("exponent must be finite")
     h = y.heights
@@ -251,9 +233,9 @@ def normalize_gamma(f, gamma: float) -> tuple[StepPotential, float]:
 
     Returns (f / kappa, kappa) with kappa = pnorm(f, gamma).  Raises
     ZeroPotential when the gamma-norm vanishes, diverges, or is undefined
-    because f vanishes somewhere while gamma < 0.
+    because f vanishes somewhere while gamma < 0.  Like ``pnorm``, it
+    accepts only q >= 0 without point masses.
     """
-    f = as_step(f)
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")
     try:
@@ -266,8 +248,9 @@ def normalize_gamma(f, gamma: float) -> tuple[StepPotential, float]:
 
 
 def shift(q, c: float) -> StepPotential:
-    """Add the constant c to every height, keeping the result admissible."""
-    q = as_step(q)
+    """Add the constant c to every height of an admissible q (q >= 0, no
+    point masses), keeping the result admissible."""
+    _require_admissible(q)
     new_heights = q.heights + c
     if np.any(new_heights < 0):
         raise NegativeResult(
@@ -278,12 +261,11 @@ def shift(q, c: float) -> StepPotential:
 
 
 def refine_common(a, b) -> tuple[StepPotential, StepPotential]:
-    """Re-express both step functions on the union of their breakpoints."""
-    a = as_step(a)
-    b = as_step(b)
+    """Re-express both potentials on the union of their breakpoints; their
+    point masses are carried along unchanged."""
     grid = np.union1d(a.breakpoints, b.breakpoints)
     mids = 0.5 * (grid[:-1] + grid[1:])
-    return (
-        StepPotential(grid, _cell_values(a.breakpoints, a.heights, mids)),
-        StepPotential(grid, _cell_values(b.breakpoints, b.heights, mids)),
+    return tuple(
+        StepPotential(grid, _cell_values(q.breakpoints, q.heights, mids), q.deltas)
+        for q in (a, b)
     )

@@ -14,7 +14,6 @@ from sl_extremal import (
     ExtremumSearchSpec,
     Potential,
     RobinBC,
-    SignedMeasure,
     StepPotential,
     lambda1,
     lambda1_fd,
@@ -139,9 +138,7 @@ def test_criterion_07_negative_norm_envelope():
         for n, m in ((10**2, 10**3), (10**3, 10**4)):
             qn, _ = statement1_family(0.5, n, 0.5)
             qm, _ = statement1_family(0.5, m, 0.5)
-            dist = wminus1_dist(
-                SignedMeasure.from_step(qn), SignedMeasure.from_step(qm), grid
-            )
+            dist = wminus1_dist(qn, qm, grid)
             bound = math.sqrt(max(1.0 / n, 1.0 / m)) + 2.0 * 2.0**-14
             margin = min(margin, bound - dist)
             assert dist <= bound

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import pytest
@@ -339,6 +340,59 @@ class TestErrorPaths:
         )
         assert code == 2
         check_schema(err)
+
+
+def _q(heights="[1]", deltas=None, breakpoints="[0,1]"):
+    extra = "" if deltas is None else f',"deltas":{deltas}'
+    return f'{{"breakpoints":{breakpoints},"heights":{heights}{extra}}}'
+
+
+EIG = ("eig", "--k0sq", "1", "--k1sq", "1", "--q-json")
+NORMS = ("norms", "--p", "1", "--q-json")
+THM1 = ("verify-thm1", "--gamma", "0.5", "--k0sq", "0", "--k1sq", "0", "--rho", "10")
+SEARCH = ("search", "--mode", "max", "--gamma", "2", "--k0sq", "1", "--k1sq", "1")
+HOSTILE = {
+    "spikes-zero": (*THM1, "--spikes", "0"),
+    "slack-nan": (*THM1, "--slack-fraction", "nan"),
+    "slack-vacuous": (*THM1, "--slack-fraction", "1"),
+    "step-init-inf": (*SEARCH, "--cells", "4", "--step-init", "inf"),
+    # numpy refuses these 745 GiB arrays at once, so nothing is allocated
+    "grid-n-huge": ("wdist", "--f-json", Q_STEP, "--grid-n", "100000000000"),
+    "cells-huge": (*SEARCH, "--cells", "100000000000"),
+    "nan-height": (*EIG, _q("[NaN]")),
+    "top-level-list": (*EIG, "[0, 1]"),
+    "deeply-nested": (*EIG, "[" * 100000),
+    "deltas-not-a-list": (*EIG, _q(deltas="5")),
+    "site-not-a-number": (*EIG, _q(deltas='[{"site":"left","weight":1}]')),
+    "merged-mass-overflows": (*EIG, _q(deltas='[{"site":0.5,"weight":1e308},'
+                                        '{"site":0.5,"weight":1e308}]')),
+    "eig-negative-height": (*EIG, _q("[-1]")),
+    "eig-negative-weight": (*EIG, _q(deltas='[{"site":0.5,"weight":-1}]')),
+    "norms-negative-height": (*NORMS, _q("[-1]")),
+    "norms-negative-weight": (*NORMS, _q(deltas='[{"site":0.5,"weight":-1}]')),
+}
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("argv", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_one_json_error_line_and_no_traceback(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be a second line
+            code, out, err = run_cli(capsys, *argv)
+        assert code in (2, 3) and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert check_schema(err)["code"] == code
+
+    def test_wdist_takes_signed_input(self, capsys):
+        f = _q("[2,-1]", '[{"site":0.25,"weight":-3}]', "[0,0.5,1]")
+        code, out, _ = run_cli(capsys, "wdist", "--f-json", f, "--g-json", f, "--grid-n", "64")
+        assert code == 0 and check_schema(out)["wminus1_dist"] == 0.0
+
+    def test_thin_tall_block_certifies(self, capsys):
+        code, out, err = run_cli(capsys, "verify-thm2", "--gamma", "1.5", "--k0sq", "1",
+                                 "--k1sq", "1", "--n", "10,1e30")
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 3
 
 
 class TestOutputHandling:

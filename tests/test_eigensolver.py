@@ -19,6 +19,7 @@ from sl_extremal import (
     refine_common,
     shift,
     statement2_family,
+    statement3_family,
     theta_end,
     verify_thm1,
 )
@@ -29,16 +30,15 @@ BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
 
 
-def theta_reference(pot: Potential, bc: RobinBC, lam: float) -> float:
+def theta_reference(pot: StepPotential, bc: RobinBC, lam: float) -> float:
     """Independent phase integration: adaptive high-order ODE solver per cell
     plus the cotangent relation written directly at each point mass.
 
     The equation is autonomous on a cell, so each cell is integrated over
     (0, b - a): a cell 1e-12 wide near x = 1/2 is then not limited by the
     spacing of doubles around 1/2."""
-    step = pot.step
-    cuts = sorted(set(step.breakpoints) | {d.site for d in pot.deltas})
-    jumps = {d.site: d.weight for d in pot.deltas}
+    cuts = sorted(set(pot.breakpoints) | {d.site for d in pot.deltas})
+    jumps = dict(pot.deltas)
     theta = math.atan2(1.0, bc.k0sq)
 
     def apply_jump(th, w):
@@ -52,7 +52,7 @@ def theta_reference(pot: Potential, bc: RobinBC, lam: float) -> float:
     if 0.0 in jumps:
         theta = apply_jump(theta, jumps[0.0])
     for a, b in zip(cuts[:-1], cuts[1:]):
-        c = lam + step.value_at(0.5 * (a + b))
+        c = lam + pot.value_at(0.5 * (a + b))
         sol = solve_ivp(
             lambda x, th: math.cos(th[0]) ** 2 + c * math.sin(th[0]) ** 2,
             (0.0, b - a),
@@ -75,9 +75,7 @@ class TestThetaEnd:
 
     def test_second_neumann_eigenvalue_boundary_angle(self):
         got = theta_end(StepPotential.constant(0.0), BC00, math.pi**2)
-        ref = theta_reference(
-            Potential.from_step(StepPotential.constant(0.0)), BC00, math.pi**2
-        )
+        ref = theta_reference(StepPotential.constant(0.0), BC00, math.pi**2)
         assert ref == pytest.approx(1.5 * math.pi, abs=1e-9)
         assert got == pytest.approx(ref, abs=1e-7)
 
@@ -169,6 +167,18 @@ class TestLambda1:
             q2 = StepPotential(r1.breakpoints, r1.heights + rb.heights)
             assert lambda1(q2, BC11).lambda1 <= lambda1(q1, BC11).lambda1 + 1e-8
 
+    def test_signed_potential_is_a_pure_shift(self):
+        # lambda_1(q - c) = lambda_1(q) + c, where q - c is negative everywhere
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            q = Potential(random_step(rng, max_height=30.0), [(0.3, 2.0)])
+            c = q.max_height() + float(rng.uniform(1.0, 10.0))
+            lowered = q - StepPotential.constant(c)
+            assert lowered.heights.max() < 0.0 and lowered.deltas == q.deltas
+            assert lambda1(lowered, BC11).lambda1 == pytest.approx(
+                lambda1(q, BC11).lambda1 + c, abs=1e-8
+            )
+
     def test_extra_delta_weight_lowers_lambda(self):
         q = StepPotential.constant(1.0)
         small = Potential(q, [(0.4, 0.5)])
@@ -220,13 +230,22 @@ class TestExactPropagation:
         assert -height < ref < 0.0
         assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_thin_tall_block_stays_below_the_ceiling(self):
+        # sqrt(lambda + q) * width << 1 on these blocks, where a scaled angle
+        # atan2(sqrt(c) y, y') reads pi/2 to rounding: it put lambda_1 at
+        # 4.1147 against lambda_1(0) = 1.7071 for n = 1e60
+        ceiling = lambda1_zero(BC11) * (1.0 + 4.0 * np.finfo(float).eps)
+        for gamma in (1.5, 2.0):
+            for k in range(4, 301):
+                assert lambda1(statement3_family(gamma, 10**k), BC11).lambda1 <= ceiling
+
     def test_spike_train_certificate_matches_adaptive_reference(self):
         # the rho* = 1000, gamma = 1/2 row of verify_thm1: 100 spikes about
         # 1e-12 wide and 1e14 high over a floor, 201 cells in all
         table = verify_thm1(0.5, BC00, [1000.0])
         detail = table.details[0]
         spec = SpikeTrainSpec(1000.0, 0.1, detail["spikes"], detail["height"], detail["nu"])
-        pot = Potential.from_step(statement2_family(spec, 0.5)[0])
+        pot = statement2_family(spec, 0.5)[0]
         lam = table.rows[0].lambda1
         span = 1e-9 * abs(lam)
         ref = brentq(
@@ -324,6 +343,15 @@ class TestFiniteElementOracle:
         bc = RobinBC(1.0, 4.0)
         assert lambda1_fd(q, bc, 4096) == pytest.approx(
             lambda1(q, bc).lambda1, abs=1e-4
+        )
+
+    def test_signed_potential_close_to_shooting(self):
+        # negative heights and a negative mass: neither solver needs q >= 0
+        pot = StepPotential([0.0, 0.3, 0.7, 1.0], [-6.0, 10.0, -2.5],
+                            [(0.55, -1.5), (0.2, 2.0)])
+        bc = RobinBC(1.0, 4.0)
+        assert lambda1_fd(pot, bc, 4096) == pytest.approx(
+            lambda1(pot, bc).lambda1, abs=1e-5
         )
 
     def test_snapped_delta_close_to_shooting(self):

@@ -238,6 +238,17 @@ class TestVerifyThm1:
         with pytest.raises(ValueError):
             verify_thm1(0.5, BC00, [0.5])
 
+    @pytest.mark.parametrize("kw", [
+        {"spikes": 0}, {"spikes": -3},
+        {"slack_fraction": math.nan}, {"slack_fraction": math.inf},
+        {"slack_fraction": 1.0}, {"slack_fraction": -0.1},
+    ], ids=["no-spikes", "negative-spikes", "nan-slack", "inf-slack",
+            "vacuous-slack", "negative-slack"])
+    def test_certificate_arguments_validated(self, kw):
+        # a NaN or >= 1 slack would pass any certificate; no spikes divides by 0
+        with pytest.raises(ValueError):
+            verify_thm1(0.5, BC00, [10.0], **kw)
+
 
 class TestSearchExtremum:
     def test_max_mode_stays_below_the_ceiling(self):
@@ -346,3 +357,8 @@ class TestSearchExtremum:
             ExtremumSearchSpec(gamma=1.0, mode="sideways", cells=4)
         with pytest.raises(ValueError):
             ExtremumSearchSpec(gamma=1.0, mode="min", cells=1)
+
+    @pytest.mark.parametrize("step_init", [math.inf, math.nan])
+    def test_nonfinite_step_rejected(self, step_init):
+        with pytest.raises(ValueError):
+            ExtremumSearchSpec(gamma=2.0, mode="max", cells=4, step_init=step_init)

@@ -33,8 +33,12 @@ class TestConstruction:
             StepPotential([0.0, 0.5, 0.5, 1.0], [1.0, 2.0, 3.0])
 
     def test_heights_nonnegative(self):
-        with pytest.raises(ValueError):
-            StepPotential([0.0, 1.0], [-0.1])
+        # a signed potential is a valid object; the A_gamma operations refuse it
+        q = StepPotential([0.0, 0.5, 1.0], [-0.1, 1.0])
+        for op in (lambda: pnorm(q, 1.0), lambda: normalize_gamma(q, 0.5),
+                   lambda: shift(q, 1.0)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                op()
 
     def test_height_count(self):
         with pytest.raises(ValueError):
@@ -42,11 +46,7 @@ class TestConstruction:
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
-            DeltaComponent(1.5, 1.0)
-        with pytest.raises(ValueError):
-            DeltaComponent(0.5, 0.0)
-        with pytest.raises(ValueError):
-            DeltaComponent(0.5, -1.0)
+            StepPotential([0.0, 1.0], [0.0], [DeltaComponent(1.5, 1.0)])
 
     def test_equal_delta_sites_merge(self):
         pot = Potential(
@@ -54,6 +54,18 @@ class TestConstruction:
             [DeltaComponent(0.5, 1.0), DeltaComponent(0.25, 0.5), DeltaComponent(0.5, 2.0)],
         )
         assert [(d.site, d.weight) for d in pot.deltas] == [(0.25, 0.5), (0.5, 3.0)]
+
+    def test_potential_builds_a_step_potential(self):
+        step = StepPotential([0.0, 0.5, 1.0], [1.0, -2.0], [(0.5, 1.0)])
+        pot = Potential(step, [DeltaComponent(0.5, 2.0), (0.25, -0.5)])
+        assert isinstance(pot, StepPotential)
+        assert pot.deltas == (DeltaComponent(0.25, -0.5), DeltaComponent(0.5, 3.0))
+        assert pot.deltas[1].weight == 3.0
+        # inherited constructors build a StepPotential, not a Potential
+        for q in (Potential.constant(1.0), Potential.from_uniform_cells([1.0, 2.0]),
+                  Potential.from_dict(pot.to_dict()), Potential.pure_delta(0.5, 1.0),
+                  pot.scaled(2.0), pot - pot):
+            assert type(q) is StepPotential
 
     def test_immutability(self):
         q = StepPotential.constant(1.0)
@@ -91,7 +103,7 @@ class TestPnorm:
             pnorm(pot, 1.0)
 
     def test_potential_without_deltas_accepted(self):
-        pot = Potential.from_step(StepPotential.constant(2.0))
+        pot = Potential(StepPotential.constant(2.0))
         assert pnorm(pot, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_monotone_in_exponent(self):
@@ -234,6 +246,12 @@ class TestRefineCommon:
         ra, rb = refine_common(a, a)
         assert ra.equals(a) and rb.equals(a)
 
+    def test_deltas_are_carried_through(self):
+        a = StepPotential([0.0, 1.0], [2.0], [(0.5, 1.0)])
+        b = StepPotential([0.0, 0.5, 1.0], [1.0, 3.0], [(0.0, -2.0)])
+        ra, rb = refine_common(a, b)
+        assert ra.deltas == a.deltas and rb.deltas == b.deltas
+
     def test_union_of_interior_points(self):
         a = StepPotential([0.0, 1.0 / 3.0, 1.0], [1.0, 2.0])
         b = StepPotential([0.0, 0.5, 1.0], [5.0, 6.0])
@@ -250,8 +268,8 @@ class TestSerialization:
             q = random_positive_step(rng)
             pot = Potential(q, [DeltaComponent(float(rng.uniform(0, 1)), float(rng.uniform(0.1, 3)))])
             data = json.loads(json.dumps(pot.to_dict()))
-            back = Potential.from_dict(data)
-            assert back.step.equals(pot.step)
+            back = StepPotential.from_dict(data)
+            assert back.equals(pot)
             assert back.deltas == pot.deltas
 
     def test_step_dict_shape(self):
@@ -259,5 +277,5 @@ class TestSerialization:
         assert d == {"breakpoints": [0.0, 0.5, 1.0], "heights": [1.0, 2.0]}
 
     def test_from_dict_accepts_missing_deltas(self):
-        pot = Potential.from_dict({"breakpoints": [0.0, 1.0], "heights": [3.0]})
+        pot = StepPotential.from_dict({"breakpoints": [0.0, 1.0], "heights": [3.0]})
         assert pot.deltas == ()

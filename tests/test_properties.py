@@ -76,8 +76,7 @@ def test_theta_end_is_nondecreasing_in_lambda(q, bc, lam, gap):
 @PROPERTY
 @given(potentials(), bcs, st.one_of(st.just(0.0), log_uniform(-3.0, 6.0)))
 def test_spectral_shift(q, bc, c):
-    shifted = Potential(StepPotential(q.step.breakpoints, q.step.heights + c),
-                        [(d.site, d.weight) for d in q.deltas])
+    shifted = StepPotential(q.breakpoints, q.heights + c, q.deltas)
     lam = lambda1(q, bc).lambda1
     assert close(lambda1(shifted, bc).lambda1, lam - c, c)
 
@@ -97,8 +96,9 @@ def test_spectral_shift_with_strong_masses_at_both_ends():
 @given(potentials(), st.lists(heights, min_size=6, max_size=6),
        st.lists(log_uniform(-3.0, 6.0), min_size=2, max_size=2), bcs)
 def test_monotone_in_the_potential_and_below_the_zero_potential(q, extra, more, bc):
-    bumped = Potential(
-        StepPotential(q.step.breakpoints, q.step.heights + extra[: q.step.heights.size]),
+    bumped = StepPotential(
+        q.breakpoints,
+        q.heights + extra[: q.heights.size],
         [(d.site, d.weight + w) for d, w in zip(q.deltas, more)],
     )
     lam = lambda1(q, bc).lambda1

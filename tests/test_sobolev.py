@@ -1,23 +1,59 @@
+"""The negative norm against its definition.
+
+``SampledFunction``, ``w1_norm`` and ``pairing`` below are the definitional
+cross-check of ``wminus1_norm``: the discrete norm is the supremum of
+|<f, z>| over piecewise-linear z with ||z||_{W^1_2} <= 1.
+"""
+
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sl_extremal import (
-    Potential,
-    SampledFunction,
-    SignedMeasure,
-    StepPotential,
-    pairing,
-    w1_norm,
-    wminus1_dist,
-    wminus1_norm,
-)
+from sl_extremal import Potential, StepPotential, wminus1_dist, wminus1_norm
 from sl_extremal.sobolev import _hat_loads
 
 
-def random_measure(rng: np.random.Generator) -> SignedMeasure:
+class SampledFunction:
+    """Values of a test function on the uniform grid i/N, i = 0..N (N >= 2),
+    read as their continuous piecewise-linear interpolant, for which the
+    integrals in ``w1_norm`` and ``pairing`` are exact."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 1 or self.values.size < 3:
+            raise ValueError("need at least 3 grid values (N >= 2 intervals)")
+
+    @classmethod
+    def constant(cls, c: float, n: int = 2) -> "SampledFunction":
+        return cls(np.full(n + 1, float(c)))
+
+    @classmethod
+    def from_callable(cls, fn, n: int) -> "SampledFunction":
+        return cls([fn(t) for t in np.linspace(0.0, 1.0, n + 1)])
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.values.size)
+
+
+def w1_norm(z: SampledFunction) -> float:
+    """sqrt(int z'^2 + int z^2) of the piecewise-linear interpolant (exact)."""
+    v = z.values
+    h = 1.0 / (v.size - 1)
+    dv = np.diff(v)
+    grad2 = float(np.sum(dv * dv)) / h
+    mass = float(np.sum(v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2)) * h / 3.0
+    return math.sqrt(grad2 + mass)
+
+
+def pairing(f: StepPotential, z: SampledFunction) -> float:
+    """Duality pairing <f, z> = sum_i z_i <f, phi_i>, z being a sum of hats."""
+    return float(np.dot(z.values, _hat_loads(f, z.grid)))
+
+
+def random_measure(rng: np.random.Generator) -> StepPotential:
     k = int(rng.integers(2, 7))
     inner = np.sort(rng.uniform(0.05, 0.95, size=k - 1))
     breakpoints = np.concatenate(([0.0], inner, [1.0]))
@@ -26,7 +62,7 @@ def random_measure(rng: np.random.Generator) -> SignedMeasure:
         (float(rng.uniform(0, 1)), float(rng.normal(scale=2.0)))
         for _ in range(int(rng.integers(0, 3)))
     ]
-    return SignedMeasure(breakpoints, heights, tuple(deltas))
+    return StepPotential(breakpoints, heights, deltas)
 
 
 class TestW1Norm:
@@ -50,22 +86,22 @@ class TestW1Norm:
 
 class TestPairing:
     def test_delta_evaluates_the_test_function(self):
-        d = SignedMeasure([0, 1], [0.0], [(0.5, 1.0)])
+        d = StepPotential([0, 1], [0.0], [(0.5, 1.0)])
         assert pairing(d, SampledFunction.constant(1.0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_unit_step_against_unit_function(self):
-        one = SignedMeasure([0, 1], [1.0])
+        one = StepPotential([0, 1], [1.0])
         assert pairing(one, SampledFunction.constant(1.0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_spike_reads_the_midpoint_of_a_linear_function(self):
         n, zeta = 50, 0.7
-        spike = SignedMeasure([0.0, zeta - 1 / n, zeta, 1.0], [0.0, float(n), 0.0])
+        spike = StepPotential([0.0, zeta - 1 / n, zeta, 1.0], [0.0, float(n), 0.0])
         z = SampledFunction.from_callable(lambda x: 2.0 * x + 0.3, 4)
         expected = 2.0 * (zeta - 1.0 / (2 * n)) + 0.3
         assert pairing(spike, z) == pytest.approx(expected, rel=1e-12)
 
     def test_interpolated_delta_site(self):
-        d = SignedMeasure([0, 1], [0.0], [(0.25, 2.0)])
+        d = StepPotential([0, 1], [0.0], [(0.25, 2.0)])
         z = SampledFunction([0.0, 1.0, 0.0])  # hat peaking at 1/2
         assert pairing(d, z) == pytest.approx(2.0 * 0.5, rel=1e-14)
 
@@ -76,17 +112,17 @@ class TestPairing:
 
 class TestWminus1Norm:
     def test_zero_measure(self):
-        assert wminus1_norm(SignedMeasure.zero(), 64) == 0.0
+        assert wminus1_norm(StepPotential.constant(0.0), 64) == 0.0
 
     @pytest.mark.parametrize("c", [1.0, -3.0, 0.25])
     def test_constant_achieved_by_constant_test_function(self, c):
-        assert wminus1_norm(SignedMeasure([0, 1], [c]), 256) == pytest.approx(
+        assert wminus1_norm(StepPotential([0, 1], [c]), 256) == pytest.approx(
             abs(c), rel=1e-10
         )
 
     def test_minimum_grid_enforced(self):
         with pytest.raises(ValueError):
-            wminus1_norm(SignedMeasure.zero(), 32)
+            wminus1_norm(StepPotential.constant(0.0), 32)
 
     def test_grid_monotone_under_refinement(self):
         rng = np.random.default_rng(41)
@@ -127,7 +163,7 @@ class TestWminus1Norm:
                 assert abs(pairing(f, z)) <= bound + 1e-12
 
 
-def reference_loads(f: SignedMeasure, grid_n: int) -> list[float]:
+def reference_loads(f: StepPotential, grid_n: int) -> list[float]:
     """<f, phi_i> by a double loop over (cell, element) pairs, in closed form.
 
     On the overlap [lo, hi] of a cell with element [x_j, x_j+1] the left hat
@@ -150,7 +186,7 @@ def reference_loads(f: SignedMeasure, grid_n: int) -> list[float]:
     return loads
 
 
-def reference_norm(f: SignedMeasure, grid_n: int) -> float:
+def reference_norm(f: StepPotential, grid_n: int) -> float:
     """sqrt(b^T A^-1 b) with the W^1_2 Gram matrix A assembled element by
     element and solved densely."""
     h = 1.0 / grid_n
@@ -163,17 +199,17 @@ def reference_norm(f: SignedMeasure, grid_n: int) -> float:
     return math.sqrt(float(b @ np.linalg.solve(gram, b)))
 
 
-def reference_cases() -> list[tuple[SignedMeasure, int]]:
+def reference_cases() -> list[tuple[StepPotential, int]]:
     rng = np.random.default_rng(47)
     cases = [
         # breakpoints on nodes; masses at 0, at 1 and on the node 1/4
-        (SignedMeasure([0.0, 0.125, 0.5, 1.0], [2.0, -1.0, 3.0],
+        (StepPotential([0.0, 0.125, 0.5, 1.0], [2.0, -1.0, 3.0],
                        [(0.0, 1.5), (1.0, -0.5), (0.25, 2.0)]), 64),
         # three breakpoints inside element 40 of 128: two cells lie in it
-        (SignedMeasure([0.0, 40.2 / 128, 40.5 / 128, 40.9 / 128, 0.7, 1.0],
+        (StepPotential([0.0, 40.2 / 128, 40.5 / 128, 40.9 / 128, 0.7, 1.0],
                        [1e3, -7.0, 5e5, -2.0, 0.5], [(0.0, -3.0), (0.3, 1.0)]), 128),
         # a spike n 1_(zeta - 1/n, zeta) narrower than one element, minus its limit
-        (SignedMeasure([0.0, 0.6 - 1e-4, 0.6, 1.0], [0.0, 1e4, 0.0], [(0.6, -1.0)]), 256),
+        (StepPotential([0.0, 0.6 - 1e-4, 0.6, 1.0], [0.0, 1e4, 0.0], [(0.6, -1.0)]), 256),
     ]
     for grid_n in (64, 100, 333, 512):
         nodes = rng.choice(np.arange(1, grid_n), size=3, replace=False) / grid_n
@@ -183,7 +219,7 @@ def reference_cases() -> list[tuple[SignedMeasure, int]]:
         sites = [0.0, 1.0, float(nodes[0]), float(rng.uniform())]
         deltas = [(site, float(rng.normal())) for site in sites]
         bp = np.concatenate(([0.0], inner, [1.0]))
-        cases.append((SignedMeasure(bp, heights, deltas), grid_n))
+        cases.append((StepPotential(bp, heights, deltas), grid_n))
     return cases
 
 
@@ -202,7 +238,7 @@ class TestAgainstReference:
     def test_homogeneity_at_extreme_scales(self, c):
         # b^T A^-1 b itself under- or overflows at these scales
         rng = np.random.default_rng(48)
-        for f in (SignedMeasure([0, 1], [1.0]), SignedMeasure([0.0, 0.5, 1.0], [1.0, -1.0]),
+        for f in (StepPotential([0, 1], [1.0]), StepPotential([0.0, 0.5, 1.0], [1.0, -1.0]),
                   random_measure(rng), random_measure(rng)):
             value = wminus1_norm(f.scaled(c), 256)
             assert math.isfinite(value)
@@ -211,12 +247,12 @@ class TestAgainstReference:
 
     def test_unrepresentable_norm_raises(self):
         # each mass alone has norm about 1.07e308; together they exceed the float range
-        f = SignedMeasure([0, 1], [0.0], [(0.25, 1e308), (0.75, 1e308)])
+        f = StepPotential([0, 1], [0.0], [(0.25, 1e308), (0.75, 1e308)])
         with pytest.raises(ValueError):
             wminus1_norm(f, 256)
         # the loads of two masses on one node overflow before the solve; the
         # error is the only report, with no numpy warning before it
-        g = SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5 + 1e-9, 1e308)])
+        g = StepPotential([0, 1], [0.0], [(0.5, 1e308), (0.5 + 1e-9, 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
@@ -237,10 +273,10 @@ class TestWminus1Dist:
         )
 
     def test_spike_converges_to_the_point_mass(self):
-        delta = SignedMeasure([0, 1], [0.0], [(0.5, 1.0)])
+        delta = StepPotential([0, 1], [0.0], [(0.5, 1.0)])
         dists = []
         for n in (100, 1000, 10000):
-            spike = SignedMeasure([0.0, 0.5 - 1.0 / n, 0.5, 1.0], [0.0, float(n), 0.0])
+            spike = StepPotential([0.0, 0.5 - 1.0 / n, 0.5, 1.0], [0.0, float(n), 0.0])
             d = wminus1_dist(spike, delta, 2**14)
             assert d <= math.sqrt(1.0 / n) + 2.0 * 2.0**-14
             dists.append(d)
@@ -248,52 +284,53 @@ class TestWminus1Dist:
 
     def test_sqrt_envelope_across_sites(self):
         for zeta in (0.25, 0.5, 0.9):
-            delta = SignedMeasure([0, 1], [0.0], [(zeta, 1.0)])
+            delta = StepPotential([0, 1], [0.0], [(zeta, 1.0)])
             for n in (100, 1000, 10000):
                 a = max(zeta - 1.0 / n, 0.0)
-                spike = SignedMeasure([0.0, a, a + 1.0 / n, 1.0], [0.0, float(n), 0.0])
+                spike = StepPotential([0.0, a, a + 1.0 / n, 1.0], [0.0, float(n), 0.0])
                 d = wminus1_dist(spike, delta, 2**14)
                 assert d <= math.sqrt(1.0 / n) + 2.0 / 2**14
 
     def test_exact_subtraction_cancels_shared_parts(self):
-        f = SignedMeasure([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
-        g = SignedMeasure([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
+        f = StepPotential([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
+        g = StepPotential([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
         diff = f - g
         assert np.all(diff.heights == 0.0)
         assert diff.deltas == ()
 
 
 class TestSignedMeasureType:
+    """StepPotential as a signed measure: either sign, masses merged per site."""
+
     def test_merges_and_drops_zero_weights(self):
-        m = SignedMeasure([0, 1], [0.0], [(0.5, 1.0), (0.5, -1.0), (0.2, 0.5)])
+        m = StepPotential([0, 1], [0.0], [(0.5, 1.0), (0.5, -1.0), (0.2, 0.5)])
         assert m.deltas == ((0.2, 0.5),)
 
     def test_from_potential(self):
         pot = Potential(StepPotential([0.0, 0.5, 1.0], [1.0, 2.0]), [(0.7, 3.0)])
-        m = SignedMeasure.from_potential(pot)
-        assert np.array_equal(m.heights, [1.0, 2.0])
-        assert m.deltas == ((0.7, 3.0),)
+        assert np.array_equal(pot.heights, [1.0, 2.0])
+        assert pot.deltas == ((0.7, 3.0),)
 
     def test_round_trip(self):
-        m = SignedMeasure([0.0, 0.25, 1.0], [1.5, -2.5], [(0.5, -1.0)])
-        back = SignedMeasure.from_dict(m.to_dict())
+        m = StepPotential([0.0, 0.25, 1.0], [1.5, -2.5], [(0.5, -1.0)])
+        back = StepPotential.from_dict(m.to_dict())
         assert np.array_equal(back.heights, m.heights)
         assert back.deltas == m.deltas
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SignedMeasure([0.0, 0.5], [1.0])
+            StepPotential([0.0, 0.5], [1.0])
         with pytest.raises(ValueError):
-            SignedMeasure([0, 1], [0.0], [(1.5, 1.0)])
+            StepPotential([0, 1], [0.0], [(1.5, 1.0)])
 
     def test_merged_weight_must_be_finite(self):
         with pytest.raises(ValueError):
-            SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5, 1e308)])
-        m = SignedMeasure([0, 1], [0.0], [(0.5, 1e308), (0.5, -1e308), (0.5, 1.0)])
+            StepPotential([0, 1], [0.0], [(0.5, 1e308), (0.5, 1e308)])
+        m = StepPotential([0, 1], [0.0], [(0.5, 1e308), (0.5, -1e308), (0.5, 1.0)])
         assert m.deltas == ((0.5, 1.0),)
 
     def test_overflowing_difference_raises_without_a_warning(self):
-        high = SignedMeasure([0, 1], [1e308])
+        high = StepPotential([0, 1], [1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
