@@ -8,17 +8,20 @@ y' = rho cos(theta), the angle obeys
 
 theta(0) = arccot(k0^2), and lambda_1 is the unique lambda at which theta(1)
 first reaches pi - arccot(k1^2); theta(1; lambda) is strictly increasing in
-lambda.  On a cell where c = lambda + q is constant, y'' + c y = 0 has a
-closed-form solution, so the angle is advanced exactly (Pruess, SIAM J.
-Numer. Anal. 10, 1973; Pryce, "Numerical Solution of Sturm-Liouville
-Problems", 1993): where sqrt(c) * length > 1 the scaled angle
-atan2(sqrt(c) y, y') grows by sqrt(c) * length, and elsewhere (y, y') maps
-through cos/sin or cosh/sinh.
-A point mass w * delta(x - site) integrates to the jump
-cot(theta+) = cot(theta-) - w taken inside the same pi-period.
+lambda.  The angle is never carried from cell to cell: one walk carries the
+state (j, y, y') with y >= 0 and leaves theta = j*pi + atan2(y, y') implicit.
+On a cell where c = lambda + q is constant, y'' + c y = 0 has a closed-form
+solution, so the state is advanced exactly (Pruess, SIAM J. Numer. Anal. 10,
+1973; Pryce, "Numerical Solution of Sturm-Liouville Problems", 1993): where
+sqrt(c) * length > 1 the scaled angle atan2(sqrt(c) y, y') grows by
+sqrt(c) * length, and elsewhere (y, y') maps linearly through cos/sin or
+cosh/sinh, with a negative new y adding one to j.  A point mass
+w * delta(x - site) subtracts w y from y'.  A power-of-two rescale keeps
+|y| + |y'| inside [2^-500, 2^500], so nothing under- or overflows.
 theta(1; lambda) is thus exact up to rounding for every step + delta
 potential, and lambda_1 is found by bracket doubling plus Illinois regula
-falsi, which keeps a sign-change bracket.
+falsi, which keeps a sign-change bracket.  The eigenfunction sampler runs the
+same walk from sample to sample.
 
 An independent P1 finite-element discretization of the associated quadratic
 form (``lambda1_fd``) serves as a cross-check, and ``lambda1_zero`` evaluates
@@ -104,9 +107,11 @@ class EigenResult:
         return out
 
 
-# --- exact phase propagation -----------------------------------------------
+# --- exact propagation of (y, y') -----------------------------------------
 
 _LN2 = math.log(2.0)
+_HUGE = 2.0**500
+_TINY = 2.0**-500
 
 
 def _segments(q: StepPotential) -> tuple[list[tuple[float, float, float, float]], float]:
@@ -129,92 +134,73 @@ def _segments(q: StepPotential) -> tuple[list[tuple[float, float, float, float]]
     return cells, masses.get(0.0, 0.0)
 
 
-def _cell(theta: float, c: float, length: float, amplitude: bool = False):
-    """Exact Prufer update across a cell of length ``length`` <= 1 on which
-    y'' + c y = 0.
+def _walk(cells, lam, j, y, dy, e):
+    """Carry the shooting state (j, y, dy, e) across ``cells`` at ``lam``.
 
-    Returns the angle at the right end, or with ``amplitude`` the pair
-    (angle, log(rho_right / rho_left)).  Where sqrt(c) * length > 1 with
-    c > 0, the scaled angle atan2(sqrt(c) y, y') advances by exactly
-    sqrt(c) * length.  Otherwise (y, y') maps through cos/sin (the straight
-    line at c = 0, cosh/sinh for c < 0), divided by cos or cosh so nothing
-    overflows.  The scaled angle would lose y once sqrt(c) |y| drops below
-    an ulp of |y'|, and on a thin cell (sqrt(c) * length << 1) it sits at
-    pi/2 to rounding whatever the cell does.  A solution on the cos/sin
-    branch vanishes at most once on the cell, so the sign of the new y picks
-    the pi-period of the new angle.
+    The state stands for the solution (-1)^j 2^e (y, y') up to a positive
+    factor, with y >= 0, so the Prufer angle is j*pi + atan2(y, dy).  On a
+    cell of length L where c = lam + q is constant with sqrt(c) * L > 1,
+    the scaled angle atan2(sqrt(c) y, y') advances by exactly sqrt(c) * L at
+    a fixed amplitude.  Every other cell maps (y, y') to (y + y' s, y' - c s y)
+    with s = L tan(kl) / kl, L tanh(kl) / kl or L (kl = sqrt(|c|) L): the
+    closed-form map divided by cos(kl) or cosh(kl), which is all the positive
+    factor holds; the scaled angle would sit at pi/2 to rounding on such a
+    thin cell whatever the cell does.  The solution vanishes at most once on
+    it, so a negative new y adds one to j.  A point mass w subtracts w y
+    from y'.  A power-of-two rescale, which is exact, keeps y + |y'| in
+    [2^-500, 2^500]; a state that rounds to (0, 0) stays there.
     """
-    j = math.floor(theta / math.pi)
-    t = theta - j * math.pi
-    y = math.sin(t)
-    dy = math.cos(t)
-    kl = math.sqrt(abs(c)) * length  # <= 1 < pi/2 where c > 0 takes cos/sin
-    if c > 0.0 and kl > 1.0:
-        k = math.sqrt(c)
-        phi = math.atan2(k * y, dy) + k * length
-        n = math.floor(phi / math.pi)
-        p = phi - n * math.pi
-        sp = math.sin(p)
-        kcp = k * math.cos(p)
-        theta = (j + n) * math.pi + math.atan2(sp, kcp)
-        if not amplitude:
-            return theta
-        # y = A sin(phi), y' = A k cos(phi) with A fixed across the cell
-        return theta, math.log(math.hypot(k * y, dy) * math.hypot(sp, kcp) / k)
-    if kl == 0.0:
-        s = length
-    elif c > 0.0:
-        s = length * math.tan(kl) / kl
-    else:
-        s = length * math.tanh(kl) / kl
-    y1 = y + dy * s
-    dy1 = dy - c * s * y
-    if y1 < 0.0:  # the solution crossed zero inside the cell
-        theta = (j + 1) * math.pi + math.atan2(-y1, -dy1)
-    else:
-        theta = j * math.pi + math.atan2(abs(y1), dy1)
-    if not amplitude:
-        return theta
-    if c > 0.0:
-        log_scale = math.log(math.cos(kl))
-    else:
-        log_scale = kl + math.log1p(math.exp(-2.0 * kl)) - _LN2  # log cosh
-    return theta, math.log(math.hypot(y1, dy1)) + log_scale
-
-
-def _delta_jump(theta: float, w: float) -> float:
-    """Apply cot(theta+) = cot(theta-) - w within the same pi-period."""
-    k = math.floor(theta / math.pi)
-    phi = theta - k * math.pi
-    s = math.sin(phi)
-    if s == 0.0:
-        return theta  # the eigenfunction vanishes here; the mass acts on nothing
-    co = math.cos(phi)
-    phi_new = math.atan2(s, co - w * s)
-    if phi_new < 0.0:
-        phi_new += math.pi
-    return k * math.pi + phi_new
-
-
-def _theta_end_prepared(cells, w0, theta0, lam) -> float:
-    theta = _delta_jump(theta0, w0) if w0 else theta0
+    sqrt, tan, tanh = math.sqrt, math.tan, math.tanh
     for _, length, height, w in cells:
-        theta = _cell(theta, lam + height, length)
+        c = lam + height
+        kl = sqrt(abs(c)) * length
+        if c > 0.0 and kl > 1.0:
+            k = sqrt(c)
+            r = math.hypot(k * y, dy)
+            phi = math.atan2(k * y, dy) + kl
+            n = math.floor(phi / math.pi)
+            p = phi - n * math.pi
+            j += n
+            y = r * math.sin(p) / k
+            dy = r * math.cos(p)
+        else:
+            if kl == 0.0:
+                s = length
+            elif c > 0.0:
+                s = length * tan(kl) / kl
+            else:
+                s = length * tanh(kl) / kl
+            y, dy = y + dy * s, dy - c * s * y
+            if y < 0.0:  # the solution crossed zero inside the cell
+                j += 1
+                y = -y
+                dy = -dy
         if w:
-            theta = _delta_jump(theta, w)
-    return theta
+            dy -= w * y
+        m = y + abs(dy)
+        if m > _HUGE or m < _TINY:
+            ex = math.frexp(m)[1]
+            y = math.ldexp(y, -ex)
+            dy = math.ldexp(dy, -ex)
+            e += ex
+    return j, y, dy, e
+
+
+def _theta_end_prepared(cells, dy0, lam) -> float:
+    """theta(1; lam) from the start (y, y') = (1, dy0) at x = 0."""
+    j, y, dy, _ = _walk(cells, lam, 0, 1.0, dy0, 0)
+    return j * math.pi + math.atan2(y, dy)
 
 
 def theta_end(q, bc: RobinBC, lam: float) -> float:
     """Prufer angle theta(1; lambda) for the shooting problem.
 
-    Propagates theta' = cos^2(theta) + (lambda + q) sin^2(theta) from
-    theta(0) = arccot(k0^2) with the closed-form solution on each constant
-    cell and the cotangent jump rule at point masses, so the value is exact
-    up to rounding.
+    Carries (y, y') from (1, k0^2) at x = 0 with the closed-form solution on
+    each constant cell and the jump y'(site+) = y'(site-) - w y(site) at
+    point masses, so the value is exact up to rounding.
     """
     cells, w0 = _segments(q)
-    return _theta_end_prepared(cells, w0, bc.theta_start, lam)
+    return _theta_end_prepared(cells, bc.k0sq - w0, lam)
 
 
 # --- eigenvalue via a bracketed Illinois iteration -------------------------
@@ -244,11 +230,11 @@ def lambda1(
     end with the smaller residual.  Raises BracketNotFound after 60 doublings.
     """
     cells, w0 = _segments(q)
-    theta0 = bc.theta_start
+    dy0 = bc.k0sq - w0
     target = bc.theta_target
 
     def f(lam: float) -> float:
-        return _theta_end_prepared(cells, w0, theta0, lam) - target
+        return _theta_end_prepared(cells, dy0, lam) - target
 
     if bracket_hint is not None:
         lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
@@ -312,7 +298,7 @@ def lambda1(
 
     samples = None
     if eigenfunction_samples is not None:
-        samples = _eigenfunction(cells, w0, theta0, lam, eigenfunction_samples)
+        samples = _eigenfunction(cells, dy0, lam, eigenfunction_samples)
 
     return EigenResult(
         lambda1=lam,
@@ -323,44 +309,45 @@ def lambda1(
     )
 
 
-def _eigenfunction(cells, w0, theta0, lam, n_samples):
+def _eigenfunction(cells, dy0, lam, n_samples):
     """Sample y on the uniform grid j/n_samples at the eigenvalue ``lam``.
 
-    (y, y') is carried as the angle and log(rho), propagated exactly from
-    sample to sample with the same per-cell update as the shooting; at a
-    point mass y is continuous, so log(rho) absorbs the change of sin(theta).
+    ``_walk`` carries the state from sample to sample; each piece adds back
+    the log of the cos(kl) or cosh(kl) that the map of a cell with
+    sqrt(c) * L <= 1 divides out, so all samples share one scale.  The
+    arrays are allocated first, so an n_samples beyond memory fails at once.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 sample intervals")
-    theta = _delta_jump(theta0, w0) if w0 else theta0
-    log_rho = 0.0
-    out = [(0.0, math.sin(theta))]
+    n = int(n_samples)
+    ys = np.empty(n + 1)
+    logs = np.empty(n + 1)
+    ys[0], logs[0] = 1.0, 0.0
+    state = (0, 1.0, dy0, 0)
+    log_scale = 0.0
     x = 0.0
-    j = 1
+    i = 1
     for right, _, height, w in cells:
         c = lam + height
-        while j <= n_samples and j / n_samples <= right:
-            xs = j / n_samples
-            theta, gain = _cell(theta, c, xs - x, amplitude=True)
-            log_rho += gain
+        while x < right:
+            xs = min(i / n, right)
+            kl = math.sqrt(abs(c)) * (xs - x)
+            if c < 0.0:
+                log_scale += kl + math.log1p(math.exp(-2.0 * kl)) - _LN2  # log cosh
+            elif kl <= 1.0:
+                log_scale += math.log(math.cos(kl))
+            state = _walk(((xs, xs - x, height, w if xs == right else 0.0),), lam, *state)
             x = xs
-            out.append((x, math.exp(log_rho) * math.sin(theta)))
-            j += 1
-        if right > x:
-            theta, gain = _cell(theta, c, right - x, amplitude=True)
-            log_rho += gain
-            x = right
-        if w:
-            s_before = math.sin(theta)
-            theta = _delta_jump(theta, w)
-            s_after = math.sin(theta)
-            if s_before != 0.0 and s_after != 0.0:
-                log_rho += math.log(abs(s_before / s_after))
+            if i <= n and xs == i / n:
+                j, y, _, e = state
+                ys[i] = -y if j % 2 else y
+                logs[i] = log_scale + e * _LN2
+                i += 1
 
-    peak = max(abs(y) for _, y in out)
-    if peak == 0.0:
-        peak = 1.0
-    return tuple((x, y / peak) for x, y in out)
+    with np.errstate(divide="ignore"):  # a zero sample has log -inf
+        log_abs = np.log(np.abs(ys)) + logs
+    values = np.sign(ys) * np.exp(log_abs - log_abs.max())  # y(0) = 1 is finite
+    return tuple(zip((np.arange(n + 1) / n).tolist(), values.tolist()))
 
 
 # --- zero-potential eigenvalue from the characteristic equation ------------

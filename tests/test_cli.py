@@ -359,6 +359,7 @@ HOSTILE = {
     # numpy refuses these 745 GiB arrays at once, so nothing is allocated
     "grid-n-huge": ("wdist", "--f-json", Q_STEP, "--grid-n", "100000000000"),
     "cells-huge": (*SEARCH, "--cells", "100000000000"),
+    "eigenfunction-huge": (*EIG, _q(), "--eigenfunction", "100000000000"),
     "nan-height": (*EIG, _q("[NaN]")),
     "top-level-list": (*EIG, "[0, 1]"),
     "deeply-nested": (*EIG, "[" * 100000),

@@ -239,6 +239,32 @@ class TestExactPropagation:
             for k in range(4, 301):
                 assert lambda1(statement3_family(gamma, 10**k), BC11).lambda1 <= ceiling
 
+    @pytest.mark.parametrize("well_first", [True, False])
+    def test_rescale_keeps_a_deep_well_exact(self, well_first):
+        # lambda_1 = -979439.7: on the zero region sqrt(-c) = 990, and split
+        # into 3000 cells (kl = 0.33 each) the walked state grows by e^990,
+        # beyond the float range without the power-of-two rescale; 300 cells
+        # (kl = 3.3, where the divided map grows by only 2 per cell) stay in it
+        zero = np.linspace(0.01, 1.0, 3001) if well_first else np.linspace(0.0, 0.99, 3001)
+        if well_first:
+            whole = StepPotential([0.0, 0.01, 1.0], [1e6, 0.0])
+            split = StepPotential([0.0, *zero], [1e6] + [0.0] * 3000)
+        else:
+            whole = StepPotential([0.0, 0.99, 1.0], [0.0, 1e6])
+            split = StepPotential([*zero, 1.0], [0.0] * 3000 + [1e6])
+        lam = lambda1(whole, BC11).lambda1
+        res = lambda1(split, BC11, eigenfunction_samples=64)
+        assert res.lambda1 == pytest.approx(lam, rel=1e-13)
+        assert math.isfinite(theta_end(split, BC11, lam))
+        ys = np.array([y for _, y in res.eigenfunction_samples])
+        assert np.all(np.isfinite(ys)) and np.max(np.abs(ys)) == 1.0
+
+    def test_state_that_rounds_to_zero_gives_a_finite_angle(self):
+        # at lambda = -w^2 the mass at 0 puts the start on the decaying
+        # solution, which tanh(w) = 1 maps to exactly (0, 0)
+        pot = StepPotential([0.0, 1.0], [0.0], [(0.0, 100.0), (1.0, 100.0)])
+        assert math.isfinite(theta_end(pot, BC00, -1e4))
+
     def test_spike_train_certificate_matches_adaptive_reference(self):
         # the rho* = 1000, gamma = 1/2 row of verify_thm1: 100 spikes about
         # 1e-12 wide and 1e14 high over a floor, 201 cells in all
@@ -283,6 +309,56 @@ class TestExactPropagation:
             # an end where theta hits the target exactly is a root, kept as hi
             assert theta_end(pot, bc, lo) < bc.theta_target <= theta_end(pot, bc, hi)
             assert hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi))
+
+
+class TestFiftyDigitReference:
+    """lambda1 on the benchmark's certificate potentials against roots of the
+    same float data shot at 50 digits with the closed-form cell maps."""
+
+    @staticmethod
+    def _root(pot, bc, lam):
+        mpmath = pytest.importorskip("mpmath")
+        mp, mpf = mpmath.mp, mpmath.mpf
+
+        assert not pot.deltas
+
+        def mismatch(x):  # y'(1) + k1^2 y(1) from y(0) = 1, y'(0) = k0^2
+            y, dy = mpf(1), mpf(bc.k0sq)
+            bps = pot.breakpoints.tolist()
+            for a, b, h in zip(bps[:-1], bps[1:], pot.heights.tolist()):
+                c, length = x + h, mpf(b) - a
+                k = mp.sqrt(abs(c))
+                if c > 0:
+                    co, si = mp.cos(k * length), mp.sin(k * length)
+                    y, dy = y * co + dy * si / k, dy * co - k * si * y
+                elif c < 0:
+                    co, si = mp.cosh(k * length), mp.sinh(k * length)
+                    y, dy = y * co + dy * si / k, dy * co + k * si * y
+                else:
+                    y += dy * length
+            return dy + bc.k1sq * y
+
+        with mp.workdps(50):
+            x = mpf(lam)
+            return mp.findroot(mismatch, (x * (1 - mpf(1e-10)), x * (1 + mpf(1e-10))),
+                               solver="anderson")
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.25, -1.0])
+    def test_verify_thm1_trains(self, gamma):
+        table = verify_thm1(gamma, BC00, [10.0, 100.0, 1000.0])
+        for row, d in zip(table.rows, table.details):
+            spec = SpikeTrainSpec(d["rho_star"], 0.1, d["spikes"], d["height"], d["nu"])
+            pot = statement2_family(spec, gamma)[0]
+            root = self._root(pot, BC00, row.lambda1)
+            assert abs(row.lambda1 - root) <= 1e-13 * abs(root)
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.5])
+    def test_verify_thm2_blocks(self, gamma):
+        for n in (10**k for k in range(1, 8)):
+            pot = statement3_family(gamma, n)
+            lam = lambda1(pot, BC11).lambda1
+            root = self._root(pot, BC11, lam)
+            assert abs(lam - root) <= 1e-13 * abs(root)
 
 
 class TestEigenfunction:

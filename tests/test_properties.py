@@ -85,7 +85,7 @@ def test_spectral_shift(q, bc, c):
                    "away from a strong mass at x = 0")
 def test_spectral_shift_with_strong_masses_at_both_ends():
     # lambda_1 = -10000 to 1e-39 (tunnelling splitting) and the finite-element
-    # oracle converges to it; shooting reads -10000.000205 and -10001.000076
+    # oracle converges to it; shooting reads -10000.0000688 and -10001.000186
     q = Potential(StepPotential([0.0, 1.0], [0.0]), [(0.0, 100.0), (1.0, 100.0)])
     shifted = Potential(StepPotential([0.0, 1.0], [1.0]), [(0.0, 100.0), (1.0, 100.0)])
     bc = RobinBC(0.0, 0.0)
