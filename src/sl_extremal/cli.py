@@ -11,6 +11,7 @@ invocations are byte-identical and every value round-trips.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -214,6 +215,9 @@ def _cmd_search(args) -> str:
     return to_csv(["iteration", "best_lambda"], [[i, v] for i, v in result.trace])
 
 
+# one parser serves every main call in a process: each add_argument asks the
+# terminal for its size, so a build costs as much as a small command
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="sl-extremal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,9 +306,8 @@ def _emit_error(message: str, code: int) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         text = args.handler(args)
     except CLIError as exc:
         _emit_error(str(exc), 2)

@@ -30,7 +30,7 @@ the zero-potential eigenvalue from its characteristic equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import math
 
 import numpy as np
@@ -231,20 +231,32 @@ def lambda1(
     """
     cells, w0 = _segments(q)
     dy0 = bc.k0sq - w0
-    target = bc.theta_target
-
-    def f(lam: float) -> float:
-        return _theta_end_prepared(cells, dy0, lam) - target
-
     if bracket_hint is not None:
         lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
         if not lo < hi:
             raise ValueError("bracket_hint must satisfy lo < hi")
     else:
         lo, hi = -1.0, 1.0
+    res = _solve(cells, dy0, bc.theta_target, lo, hi)
+    if eigenfunction_samples is None:
+        return res
+    return replace(res, eigenfunction_samples=_eigenfunction(
+        cells, dy0, res.lambda1, eigenfunction_samples))
 
-    f_lo = f(lo)
-    f_hi = f(hi)
+
+def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
+    """``lambda1``'s bracket doubling and Illinois iteration on prepared
+    cells from the start bracket lo < hi; f_lo or f_hi, when given, is
+    theta(1; lo) - target or theta(1; hi) - target, which is then not
+    evaluated again."""
+
+    def f(lam: float) -> float:
+        return _theta_end_prepared(cells, dy0, lam) - target
+
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     expansions = 0
     while f_lo >= 0.0:
         if expansions >= _MAX_EXPANSIONS:
@@ -295,18 +307,8 @@ def lambda1(
             side = 1
 
     lam, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
-
-    samples = None
-    if eigenfunction_samples is not None:
-        samples = _eigenfunction(cells, dy0, lam, eigenfunction_samples)
-
-    return EigenResult(
-        lambda1=lam,
-        residual=residual,
-        bracket=(lo, hi),
-        iterations=iterations,
-        eigenfunction_samples=samples,
-    )
+    return EigenResult(lambda1=lam, residual=residual, bracket=(lo, hi),
+                       iterations=iterations)
 
 
 def _eigenfunction(cells, dy0, lam, n_samples):

@@ -28,9 +28,9 @@ import math
 
 import numpy as np
 
-from .eigensolver import RobinBC, lambda1, lambda1_zero, theta_end
+from .eigensolver import RobinBC, _solve, _theta_end_prepared, lambda1, lambda1_zero
 from .jsonio import to_csv
-from .potentials import StepPotential, normalize_gamma, pnorm
+from .potentials import StepPotential, _normalized, normalize_gamma, pnorm
 
 __all__ = [
     "SpikeTrainSpec",
@@ -220,16 +220,13 @@ def statement2_family(spec: SpikeTrainSpec, gamma: float) -> tuple[StepPotential
 
     m = spec.spikes
     delta = spec.spike_width
-    pts = [0.0]
-    heights = []
-    for j in range(1, m + 1):
-        center = (j - 0.5) / m
-        a = center - 0.5 * delta
-        b = a + delta
-        pts.extend([a, b])
-        heights.extend([spec.floor, spec.height + spec.floor])
-    pts.append(1.0)
-    heights.append(spec.floor)
+    a = (np.arange(1, m + 1) - 0.5) / m - 0.5 * delta  # spike j spans [a, a + delta]
+    pts = np.empty(2 * m + 2)
+    pts[0], pts[-1] = 0.0, 1.0
+    pts[1:-1:2] = a
+    pts[2:-1:2] = a + delta
+    heights = np.full(2 * m + 1, spec.floor)
+    heights[1::2] = spec.height + spec.floor
     f = StepPotential(pts, heights)
 
     nu_norm = pnorm(f, spec.nu)
@@ -441,11 +438,14 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     strictly increasing in lambda and meets pi - arccot(k1^2) at lambda_1, so
     theta(1; best) below the target means lambda_1(candidate) > best, and
     above it means lambda_1(candidate) < best.  Only a proposal on the
-    improving side is solved, from a bracket with ``best`` at one end, and it
-    is accepted only if the solved eigenvalue is strictly better than
-    ``best``, which rounding of a root within 1e-13 of ``best`` can undo.
-    The trace therefore holds only theta-confirmed improvements and is
-    strictly monotone; ``evaluations`` counts the proposals evaluated.
+    improving side is solved, from a bracket with ``best`` at one end (whose
+    theta is the one just computed), and it is accepted only if the solved
+    eigenvalue is strictly better than ``best``, which rounding of a root
+    within 1e-13 of ``best`` can undo.  A proposal is a height array on the
+    fixed cells: it costs one normalization and one walk, and it is rejected
+    if the normalization fails or a height overflows.  The trace therefore
+    holds only theta-confirmed improvements and is strictly monotone;
+    ``evaluations`` counts the proposals evaluated.
     """
     if spec.start is not None:
         if spec.start.heights.size != spec.cells:
@@ -462,30 +462,41 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     step = spec.step_init
     rejects = 0
     k = spec.cells
+    h, widths = q.heights, q.widths
+    bps = q.breakpoints.tolist()
+    grid = list(zip(bps[1:], np.diff(bps).tolist()))  # (right, length) per cell
 
     for it in range(1, spec.max_iters + 1):
         cell = (it - 1) // 2 % k
         up = (it - 1) % 2 == 0
         factor = 1.0 + step if up else 1.0 / (1.0 + step)
-        heights = q.heights.copy()
+        heights = h.copy()
         heights[cell] *= factor
         try:
-            cand, _ = normalize_gamma(StepPotential(q.breakpoints, heights), spec.gamma)
+            if heights[cell] == math.inf:
+                raise ValueError("height overflows")
+            cand, _ = _normalized(heights, widths, spec.gamma)
+            top = cand.max()
+            if top == math.inf:
+                raise ValueError("height overflows")  # h / kappa with kappa < 1
         except ValueError:
             rejects += 1
             continue
-        if cand.max_height() > spec.height_cap:
+        if top > spec.height_cap:
             rejects += 1
         else:
             evaluations += 1
+            cells = [(r, length, c, 0.0) for (r, length), c in zip(grid, cand.tolist())]
             # the side of the target theta(1; best_lam) falls on decides the move
             lam = best_lam
-            if sign * (theta_end(cand, bc, best_lam) - target) < 0.0:
+            f_best = _theta_end_prepared(cells, bc.k0sq, best_lam) - target
+            if sign * f_best < 0.0:
                 span = max(1.0, 0.1 * abs(best_lam))
-                hint = (best_lam, best_lam + span) if sign > 0 else (best_lam - span, best_lam)
-                lam = lambda1(cand, bc, bracket_hint=hint).lambda1
+                lo, hi = (best_lam, best_lam + span) if sign > 0 else (best_lam - span, best_lam)
+                f_lo, f_hi = (f_best, None) if sign > 0 else (None, f_best)
+                lam = _solve(cells, bc.k0sq, target, lo, hi, f_lo, f_hi).lambda1
             if sign * (lam - best_lam) > 0.0:
-                q = cand
+                h = cand
                 best_lam = lam
                 trace.append((it, best_lam))
                 rejects = 0
@@ -497,4 +508,4 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
             if step < spec.step_min:
                 break
 
-    return SearchResult(q, best_lam, tuple(trace), evaluations)
+    return SearchResult(StepPotential(q.breakpoints, h), best_lam, tuple(trace), evaluations)

@@ -200,8 +200,11 @@ def pnorm(y, p: float) -> float:
     _require_admissible(y)
     if not math.isfinite(p):
         raise ValueError("exponent must be finite")
-    h = y.heights
-    w = y.widths
+    return _pnorm(y.heights, y.widths, p)
+
+
+def _pnorm(h: np.ndarray, w: np.ndarray, p: float) -> float:
+    """``pnorm``'s array core: heights h >= 0 on cells of widths w, p finite."""
     positive = h > 0
     if p <= 0 and not positive.all():
         raise NonPositiveExponentOnVanishingFunction(
@@ -236,15 +239,23 @@ def normalize_gamma(f, gamma: float) -> tuple[StepPotential, float]:
     because f vanishes somewhere while gamma < 0.  Like ``pnorm``, it
     accepts only q >= 0 without point masses.
     """
-    if gamma == 0.0:
-        raise ValueError("gamma must be nonzero")
+    if gamma == 0.0 or not math.isfinite(gamma):
+        raise ValueError("gamma must be finite and nonzero")
+    _require_admissible(f)
+    heights, kappa = _normalized(f.heights, f.widths, gamma)
+    return StepPotential(f.breakpoints, heights), kappa
+
+
+def _normalized(h: np.ndarray, w: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
+    """``normalize_gamma``'s array core for heights h >= 0 on cells of widths
+    w and a finite gamma != 0; h / kappa can overflow where kappa < 1."""
     try:
-        kappa = pnorm(f, gamma)
+        kappa = _pnorm(h, w, gamma)
     except NonPositiveExponentOnVanishingFunction as exc:
         raise ZeroPotential("gamma-norm undefined for this potential") from exc
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise ZeroPotential(f"gamma-norm is {kappa}; cannot normalize")
-    return StepPotential(f.breakpoints, f.heights / kappa), kappa
+    return h / kappa, kappa
 
 
 def shift(q, c: float) -> StepPotential:

@@ -292,6 +292,32 @@ class TestSearch:
         assert first == second
 
 
+class TestRepeatedCalls:
+    """Every main call in a process parses with the same parser, so no call
+    may see the arguments, defaults or failure of an earlier one."""
+
+    def test_default_seed_returns_after_an_explicit_one(self, capsys):
+        _, out, _ = run_cli(capsys, *TestSearch.ARGS)
+        assert json.loads(out)["seed"] == 7
+        assert TestSearch.ARGS[-2:] == ("--seed", "7")
+        code, out, _ = run_cli(capsys, *TestSearch.ARGS[:-2])
+        assert code == 0 and json.loads(out)["seed"] == 0
+
+    def test_call_after_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--mode", "max", "--gamma", "nan",
+                                 "--cells", "4")
+        assert code == 2 and out == "" and json.loads(err)["code"] == 2
+        code, out, err = run_cli(capsys, *TestSearch.ARGS)
+        assert code == 0 and err == "" and json.loads(out)["seed"] == 7
+
+    def test_identical_calls_print_identical_bytes(self, capsys):
+        argv = ("verify-thm1", "--gamma", "0.5", "--k0sq", "0", "--k1sq", "0",
+                "--rho", "10,100,1000")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run_cli(capsys, *argv) == first
+
+
 class TestErrorPaths:
     def test_invalid_json_is_a_validation_error(self, capsys):
         code, out, err = run_cli(

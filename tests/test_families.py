@@ -11,6 +11,7 @@ from sl_extremal import (
     RobinBC,
     SpikeTrainSpec,
     StepPotential,
+    ZeroPotential,
     lambda1,
     lambda1_fd,
     lambda1_zero,
@@ -24,7 +25,7 @@ from sl_extremal import (
     verify_thm1,
     verify_thm2,
 )
-from sl_extremal import eigensolver
+from sl_extremal import eigensolver, families
 from sl_extremal.families import CSV_HEADER, statement2_budget
 
 from conftest import random_positive_step
@@ -149,6 +150,23 @@ class TestStatement2Family:
         raw = np.where(q.heights * kappa > 1.0, raw_peak, spec.floor)
         assert np.allclose(kappa * q.heights, raw, rtol=1e-15)
         assert q.widths[1] == pytest.approx(spec.spike_width, rel=1e-9)
+
+    @pytest.mark.parametrize("spikes,height,gamma", [
+        (1, 1e6, 0.5), (3, 1e7, 0.5), (100, 1e6, 0.25), (10**4, 1e13, -1.0)])
+    def test_arrays_match_the_loop_construction(self, spikes, height, gamma):
+        # the spike-by-spike loop the arrays are built in one pass from,
+        # with the same float operations, so the result is bit-identical
+        spec = SpikeTrainSpec(rho_star=10.0, floor=0.1, spikes=spikes, height=height, nu=0.75)
+        pts, heights = [0.0], []
+        for j in range(1, spikes + 1):
+            a = (j - 0.5) / spikes - 0.5 * spec.spike_width
+            pts += [a, a + spec.spike_width]
+            heights += [spec.floor, spec.height + spec.floor]
+        expected, kappa = normalize_gamma(StepPotential(pts + [1.0], heights + [spec.floor]), gamma)
+        q, got = statement2_family(spec, gamma)
+        assert got == kappa
+        assert np.array_equal(q.breakpoints, expected.breakpoints)
+        assert np.array_equal(q.heights, expected.heights)
 
     def test_norm_budget_enforced(self):
         spec = SpikeTrainSpec(rho_star=10.0, floor=0.1, spikes=100, height=200.0, nu=0.75)
@@ -343,12 +361,66 @@ class TestSearchExtremum:
             calls += 1
             return original(*args)
 
+        # the move decisions call it by the name families imported, the
+        # solves through eigensolver; setattr fails if either name is gone
         monkeypatch.setattr(eigensolver, "_theta_end_prepared", counted)
+        monkeypatch.setattr(families, "_theta_end_prepared", counted)
         spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500)
         res = search_extremum(spec, BC11)
         assert res.evaluations == 501
-        # a rejected proposal costs one theta-evaluation, a full solve about 19
-        assert calls <= 2500
+        # a rejected proposal costs one theta-evaluation, and a solve starts
+        # from the one its decision computed at best_lambda
+        assert calls <= 1462
+
+    # the trajectories of a max-mode search (the README's) and of a capped
+    # min-mode search from a seeded start: any change to the order or the
+    # arithmetic of the loop moves one of these
+    @pytest.mark.parametrize("mode,evaluations,entries,best", [
+        ("max", 501, 179, 1.3972733052564164),
+        ("min", 111, 41, -2.67681098364678),
+    ])
+    def test_trajectory_is_pinned(self, mode, evaluations, entries, best):
+        if mode == "max":
+            spec, bc = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500), BC11
+        else:
+            start = StepPotential.from_uniform_cells(
+                np.random.default_rng(3).uniform(0.2, 5.0, size=16))
+            spec = ExtremumSearchSpec(gamma=0.5, mode="min", cells=16, max_iters=150,
+                                      step_init=2.0, height_cap=16.0, start=start)
+            bc = BC00
+        res = search_extremum(spec, bc)
+        assert res.evaluations == evaluations
+        assert len(res.trace) == entries
+        assert res.best_lambda == pytest.approx(best, rel=1e-15, abs=0.0)
+        assert res.best_q.max_height() <= spec.height_cap
+
+    def test_overflowing_proposals_are_rejected(self, monkeypatch):
+        # a step of 1e308 overflows any height above 1.8 that an up move
+        # scales: that proposal is rejected unevaluated, and the others run
+        start = StepPotential.from_uniform_cells([4.0, 1.0, 1.0, 1.0])
+        spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=4, max_iters=40,
+                                  step_init=1e308, start=start)
+        with np.errstate(over="ignore"):
+            res = search_extremum(spec, BC11)
+        assert res.evaluations == 39
+        assert [i for i, _ in res.trace] == [0, 3]
+        assert [v for _, v in res.trace] == pytest.approx([0.9249038250087442, 1.1361025828171225],
+                                                          rel=1e-15, abs=0.0)
+        # an overflow in h / kappa or a failed normalization is rejected too
+        real = families._normalized
+
+        def overflowing(h, w, gamma):
+            heights, kappa = real(h, w, gamma)
+            if h.max() > 1.0:
+                raise ZeroPotential("gamma-norm is 0.0; cannot normalize")
+            return heights / 0.0, kappa
+
+        monkeypatch.setattr(families, "_normalized", overflowing)
+        with np.errstate(divide="ignore"):
+            res = search_extremum(ExtremumSearchSpec(gamma=2.0, mode="max", cells=4,
+                                                     max_iters=20), BC11)
+        assert res.evaluations == 1 and len(res.trace) == 1
+        assert np.array_equal(res.best_q.heights, np.ones(4))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
