@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .potentials import StepPotential, _cell_values
+from .potentials import StepPotential, _cell_values, _cut_elements
 
 __all__ = [
     "RobinBC",
@@ -205,9 +205,6 @@ def theta_end(q, bc: RobinBC, lam: float) -> float:
 
 # --- eigenvalue via a bracketed Illinois iteration -------------------------
 
-_MAX_EXPANSIONS = 60
-
-
 def lambda1(
     q,
     bc: RobinBC,
@@ -227,7 +224,8 @@ def lambda1(
     residual condition: theta is exact, so the residual
     |theta(1; lambda) - target| is rounding noise that a stiff potential can
     keep above any fixed tolerance.  The returned eigenvalue is the bracket
-    end with the smaller residual.  Raises BracketNotFound after 60 doublings.
+    end with the smaller residual.  Raises BracketNotFound when the next
+    bracket end, or theta there, is not finite.
     """
     cells, w0 = _segments(q)
     dy0 = bc.k0sq - w0
@@ -259,20 +257,16 @@ def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
         f_hi = f(hi)
     expansions = 0
     while f_lo >= 0.0:
-        if expansions >= _MAX_EXPANSIONS:
-            raise BracketNotFound(
-                f"no lower bracket endpoint after {expansions} expansions"
-            )
         lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
         f_lo = f(lo)
+        if not math.isfinite(f_lo):  # also when lo is -inf
+            raise BracketNotFound(f"no lower bracket endpoint after {expansions} expansions")
         expansions += 1
     while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
-        if expansions >= _MAX_EXPANSIONS:
-            raise BracketNotFound(
-                f"no upper bracket endpoint after {expansions} expansions"
-            )
         lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
         f_hi = f(hi)
+        if not math.isfinite(f_hi):
+            raise BracketNotFound(f"no upper bracket endpoint after {expansions} expansions")
         expansions += 1
 
     # g_lo, g_hi are the secant weights: the value at an end kept twice in a
@@ -286,7 +280,7 @@ def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
         if width <= tol:
             break
         if width > 0.5 * width_2:
-            x = 0.5 * (lo + hi)
+            x = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
         else:
             x = hi - g_hi * width / (g_hi - g_lo)
             x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
@@ -390,16 +384,21 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     """Smallest eigenvalue of the P1 finite-element discretization.
 
     Assembles the quadratic form int y'^2 + k0^2 y(0)^2 + k1^2 y(1)^2
-    - int q y^2 - sum w y(site)^2 against the consistent mass matrix on the
-    uniform grid of ``n_nodes`` nodes with every point-mass site added as a
-    node, so the kink of the eigenfunction at a mass falls on an element
-    boundary and the error stays O(h^2).  A site within 1e-6 h of a node is
-    moved onto it instead, as a sliver element would ruin the conditioning.
-    Step-potential cells are integrated exactly against the hat-function
-    products.  By Sylvester's law of inertia K - sigma M is positive definite
-    exactly when sigma lies below the smallest generalized eigenvalue, which
-    the tridiagonal LDL^T factorization (LAPACK dpttrf) reports; that
-    predicate drives a bisection to a width of 1e-12 * max(1, |lo|, |hi|).
+    - int q y^2 - sum w y(site)^2, integrated exactly, against the consistent
+    mass matrix on the uniform grid of ``n_nodes`` nodes with every point-mass
+    site added as a node, so the kink of the eigenfunction at a mass falls on
+    an element boundary and the error stays O(h^2).  A site within 1e-6 h of
+    a node is moved onto it instead, as a sliver element would ruin the
+    conditioning.  K - sigma M is positive definite, which LAPACK dpttrf
+    reports, exactly when sigma < lambda_1 (Sylvester's law of inertia).  A
+    successful factorization certifies lo and a failed one hi; the midpoint
+    is returned once they are 1e-12 * max(1, |lo|, |hi|) apart.  The trials
+    come from a determinant search (Bathe & Wilson, 1976): left of lambda_1,
+    det(K - sigma M) is positive, decreasing and convex, so the secant
+    through the last two certified lo (log det is the sum of the log pivots)
+    stays left of it.  A step small against the bracket is doubled, to
+    certify hi close to the root, and two trials that have not halved the
+    bracket are followed by a bisection.
     """
     if n_nodes < 32:
         raise ValueError("n_nodes must be >= 32")
@@ -421,31 +420,23 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     kd = np.zeros(grid.size)
     kd[:-1] += 1.0 / h
     kd[1:] += 1.0 / h
-    ke = -1.0 / h
+    kd[0] += bc.k0sq
+    kd[-1] += bc.k1sq
     md = np.zeros(grid.size)
     md[:-1] += h / 3.0
     md[1:] += h / 3.0
     me = h / 6.0
 
-    kd[0] += bc.k0sq
-    kd[-1] += bc.k1sq
-
-    # exact assembly of -int q phi_i phi_j over each constant-q piece
-    pts = np.union1d(grid, q.breakpoints)
-    a = pts[:-1]
-    b = pts[1:]
-    mids = 0.5 * (a + b)
-    elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, grid.size - 2)
-    sval = _cell_values(q.breakpoints, q.heights, mids)
+    # exact -int q phi_i phi_j: on an uncut element -s times its mass matrix,
+    # rounded as element by element, and the cut elements piece by piece
+    uncut, elem, ta, tb, s = _cut_elements(q.breakpoints, q.heights, grid, h)
     he = h[elem]
-    ta = (a - grid[elem]) / he
-    tb = (b - grid[elem]) / he
-    i_ll = he * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0
-    i_rr = he * (tb**3 - ta**3) / 3.0
-    i_lr = he * ((tb**2 - ta**2) / 2.0 - (tb**3 - ta**3) / 3.0)
-    np.add.at(kd, elem, -sval * i_ll)
-    np.add.at(kd, elem + 1, -sval * i_rr)
-    np.add.at(ke, elem, -sval * i_lr)
+    kd[:-1] -= uncut * (h / 3.0)
+    np.add.at(kd, elem, -s * (he * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0))
+    kd[1:] -= uncut * (h / 3.0)
+    np.add.at(kd, elem + 1, -s * (he * (tb**3 - ta**3) / 3.0))
+    ke = -1.0 / h - uncut * (h * (0.5 - 1.0 / 3.0))
+    np.add.at(ke, elem, -s * (he * ((tb**2 - ta**2) / 2.0 - (tb**3 - ta**3) / 3.0)))
 
     for site, w in masses:
         kd[np.searchsorted(grid, site)] -= w
@@ -454,30 +445,41 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     # and importing it at the top would double the package's import time
     from scipy.linalg.lapack import dpttrf
 
-    def below(sigma: float) -> bool:
-        """True when K - sigma M is positive definite, i.e. sigma < lambda_1."""
-        return dpttrf(kd - sigma * md, ke - sigma * me)[2] == 0
+    def logdet(sigma: float) -> float | None:  # None unless K - sigma M is positive definite
+        d, _, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=1, overwrite_e=1)
+        return float(np.log(d).sum()) if info == 0 else None
 
-    lo, hi = -1.0, 1.0
+    # double [-1, 1] up while hi is positive definite, else down until lo is;
+    # pd holds (sigma, log det) at the last two certified lo
+    lo, hi, pd = -1.0, 1.0, []
     for _ in range(200):
-        if not below(hi):
+        if (l_hi := logdet(hi)) is None:
             break
-        hi += hi - lo
-    else:
-        raise BracketNotFound("finite-element upper bracket not found")
-    for _ in range(200):
-        if below(lo):
+        lo, hi, pd = hi, hi + 2.0 * (hi - lo), [*pd[-1:], (hi, l_hi)]
+    for _ in range(0 if pd else 200):
+        if (l_lo := logdet(lo)) is not None:
+            pd = [(lo, l_lo)]
             break
-        lo -= hi - lo
-    else:
-        raise BracketNotFound("finite-element lower bracket not found")
+        lo, hi = lo - 2.0 * (hi - lo), lo
+    if l_hi is not None or not pd:
+        raise BracketNotFound("no finite-element bracket after 200 doublings")
 
-    while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
+    width_1 = width_2 = math.inf
+    while (width := hi - lo) > 1e-12 * max(1.0, abs(lo), abs(hi)):
+        x = 0.5 * (lo + hi)
+        if len(pd) == 2 and width <= 0.5 * width_2:
+            (x0, l0), (x1, l1) = pd
+            # the secant root of det, or the last advance where rounding stalls log det
+            step = (x1 - x0) / math.expm1(min(l0 - l1, 700.0)) if l0 > l1 else x1 - x0
+            if step < 0.25 * width:
+                step *= 2.0
+            if lo < lo + step < hi:
+                x = lo + step
+        width_2, width_1 = width_1, width
+        if (l_x := logdet(x)) is None:
+            hi = x
         else:
-            hi = mid
+            lo, pd = x, [pd[-1], (x, l_x)]
     return float(0.5 * (lo + hi))
 
 

@@ -431,6 +431,7 @@ class SearchResult:
         }
 
 
+@np.errstate(over="ignore")  # an overflowing proposal is rejected, not warned about
 def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     """Empirical probe of the extremal eigenvalue over A_gamma.
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .potentials import StepPotential
+from .potentials import StepPotential, _cut_elements
 
 __all__ = ["wminus1_norm", "wminus1_dist"]
 
@@ -23,32 +23,19 @@ __all__ = ["wminus1_norm", "wminus1_dist"]
 def _hat_loads(f: StepPotential, grid: np.ndarray) -> np.ndarray:
     """<f, phi_i> for every hat function phi_i on the uniform grid, in O(N + K).
 
-    An element inside one cell of height s gets s*h/2 at each node.  Only the
-    elements a breakpoint cuts are integrated piecewise: the piece of each
-    cell in its first element and, if the cell reaches further, in its last.
+    An uncut element of height s gets s*h/2 at each node; only the pieces
+    of the cut elements (``_cut_elements``) are integrated one by one.
     """
     n = grid.size
     h = grid[1] - grid[0]
-    bp = f.breakpoints
-    s = f.heights
-    # first and last element of each cell
-    es = np.clip(np.searchsorted(grid, bp[:-1], side="right") - 1, 0, n - 2)
-    ee = np.clip(np.searchsorted(grid, bp[1:], side="left") - 1, 0, n - 2)
-    uncut = np.ones(n - 1, dtype=bool)
-    uncut[es] = uncut[ee] = False
-    inner = np.zeros(n - 1)
-    inner[uncut] = np.repeat(s * (0.5 * h), np.maximum(ee - es - 1, 0))
-    b = np.append(inner, 0.0)
+    inner, elem, ta, tb, s = _cut_elements(f.breakpoints, f.heights, grid, h)
+    inner *= 0.5 * h
+    b = np.zeros(n)
+    b[:-1] += inner
     b[1:] += inner
 
-    far = ee > es
-    cell = np.concatenate((np.arange(s.size), np.flatnonzero(far)))
-    elem = np.concatenate((es, ee[far]))
-    x0 = grid[elem]
-    ta = (np.maximum(bp[cell], x0) - x0) / h
-    tb = (np.minimum(bp[cell + 1], grid[elem + 1]) - x0) / h
-    load_right = s[cell] * h * 0.5 * (tb**2 - ta**2)
-    np.add.at(b, elem, s[cell] * h * (tb - ta) - load_right)
+    load_right = s * h * 0.5 * (tb**2 - ta**2)
+    np.add.at(b, elem, s * h * (tb - ta) - load_right)
     np.add.at(b, elem + 1, load_right)
     with np.errstate(over="ignore"):  # an overflowing load is the caller's to reject
         for site, w in f.deltas:
@@ -83,14 +70,14 @@ def wminus1_norm(f: StepPotential, grid_n: int) -> float:
     off = np.full(n - 1, -1.0 / h + h / 6.0)
 
     b = _hat_loads(f, grid)
-    top = float(np.max(np.abs(b)))
+    top = float(max(b.max(), -b.min()))  # a NaN load makes b.max() NaN
     if not math.isfinite(top):
         raise ValueError("W^-1 norm: the load vector overflows")
     k = math.frexp(top)[1]
-    b = np.ldexp(b, -k)
+    np.ldexp(b, -k, out=b)
     from scipy.linalg.lapack import dptsv  # imported late, as in lambda1_fd
 
-    u = dptsv(diag, off, b)[2]
+    u = dptsv(diag, off, b, overwrite_d=1, overwrite_e=1)[2]
     val = float(np.dot(b, u))
     try:
         return math.ldexp(math.sqrt(max(val, 0.0)), k)

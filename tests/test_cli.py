@@ -9,7 +9,7 @@ import warnings
 import jsonschema
 import pytest
 
-from sl_extremal import lambda1_zero, RobinBC
+from sl_extremal import lambda1_fd, lambda1_zero, RobinBC, StepPotential
 from sl_extremal.cli import main
 from sl_extremal.jsonio import dumps, fmt_float, to_csv
 
@@ -186,10 +186,11 @@ main(["wdist", "--f-json", {delta!r}, "--grid-n", "1024"])
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        # the oracle and the distance read as they did with a top-level import
+        # the oracle and the distance read as they do here, where scipy is loaded
+        q = StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0], [(0.4, 2.0)])
         assert proc.stdout.splitlines() == [
             "[0, 0, 0] False",
-            "-3.1486782112178844",
+            repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)),
             '{"wminus1_dist":1.0401810551651851,"grid_n":1024}',
         ]
 
@@ -343,14 +344,12 @@ class TestErrorPaths:
         check_schema(err)
 
     def test_solver_failure_exit_code(self, capsys):
-        # lambda_1 = -1e30 lies beyond the sixty bracket doublings
-        code, _, err = run_cli(
-            capsys, "eig", "--q-json", '{"breakpoints":[0,1],"heights":[1e30]}',
-            "--k0sq", "0", "--k1sq", "0",
-        )
+        # lambda_1 = -max float lies beyond the last finite bracket doubling
+        q_json = '{"breakpoints":[0,1],"heights":[1.7976931348623157e308]}'
+        code, _, err = run_cli(capsys, "eig", "--q-json", q_json, "--k0sq", "0", "--k1sq", "0")
         assert code == 3
         payload = check_schema(err)
-        assert payload == {"error": "no lower bracket endpoint after 60 expansions", "code": 3}
+        assert payload == {"error": "no lower bracket endpoint after 1022 expansions", "code": 3}
 
     def test_norm_budget_exit_code(self, capsys):
         code, _, err = run_cli(

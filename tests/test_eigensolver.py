@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +66,71 @@ def theta_reference(pot: StepPotential, bc: RobinBC, lam: float) -> float:
         if b in jumps:
             theta = apply_jump(theta, jumps[b])
     return theta
+
+
+def fd_bisection_reference(q, bc: RobinBC, n_nodes: int) -> float:
+    """The oracle's former form: the same P1 matrices, assembled piece by
+    piece over the union of grid and breakpoints, and plain bisection on the
+    dpttrf positive-definiteness test to a width of 1e-12 * max(1, |lo|, |hi|)."""
+    from scipy.linalg.lapack import dpttrf
+
+    n = int(n_nodes)
+    grid = np.linspace(0.0, 1.0, n)
+    snap = 1e-6 / (n - 1)
+    masses = []
+    for site, w in q.deltas:
+        j = int(np.searchsorted(grid, site))
+        if grid[j] - site <= snap:
+            site = grid[j]
+        elif site - grid[j - 1] <= snap:
+            site = grid[j - 1]
+        else:
+            grid = np.insert(grid, j, site)
+        masses.append((site, w))
+    h = np.diff(grid)
+    kd = np.zeros(grid.size)
+    kd[:-1] += 1.0 / h
+    kd[1:] += 1.0 / h
+    ke = -1.0 / h
+    md = np.zeros(grid.size)
+    md[:-1] += h / 3.0
+    md[1:] += h / 3.0
+    me = h / 6.0
+    kd[0] += bc.k0sq
+    kd[-1] += bc.k1sq
+    pts = np.union1d(grid, q.breakpoints)
+    a, b = pts[:-1], pts[1:]
+    mids = 0.5 * (a + b)
+    elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, grid.size - 2)
+    cell = np.searchsorted(q.breakpoints, mids, side="right") - 1
+    sval = q.heights[np.clip(cell, 0, q.heights.size - 1)]
+    he = h[elem]
+    ta = (a - grid[elem]) / he
+    tb = (b - grid[elem]) / he
+    i_ll = he * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0
+    i_rr = he * (tb**3 - ta**3) / 3.0
+    i_lr = he * ((tb**2 - ta**2) / 2.0 - (tb**3 - ta**3) / 3.0)
+    np.add.at(kd, elem, -sval * i_ll)
+    np.add.at(kd, elem + 1, -sval * i_rr)
+    np.add.at(ke, elem, -sval * i_lr)
+    for site, w in masses:
+        kd[np.searchsorted(grid, site)] -= w
+
+    def below(sigma):
+        return dpttrf(kd - sigma * md, ke - sigma * me)[2] == 0
+
+    lo, hi = -1.0, 1.0
+    while below(hi):
+        hi += hi - lo
+    while not below(lo):
+        lo -= hi - lo
+    while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
 
 
 class TestThetaEnd:
@@ -186,9 +252,16 @@ class TestLambda1:
         assert lambda1(large, BC11).lambda1 < lambda1(small, BC11).lambda1
 
     def test_bracket_not_found_when_expansion_capped(self):
-        # lambda_1 = -1e30, but sixty doublings from [-1, 1] only reach 3 - 2**62
-        with pytest.raises(BracketNotFound, match="after 60 expansions"):
-            lambda1(StepPotential.constant(1e30), BC00)
+        # lambda_1 = -max float: the last finite doubling from [-1, 1] stops
+        # one ulp short of it, and the next end is -inf
+        with pytest.raises(BracketNotFound, match="after 1022 expansions"):
+            lambda1(StepPotential.constant(sys.float_info.max), BC00)
+
+    @pytest.mark.parametrize("height", [5e18, 1e30])
+    def test_huge_constant_is_bracketed(self, height):
+        # beyond sixty doublings from [-1, 1], which reach about -4.6e18
+        res = lambda1(StepPotential.constant(height), BC00)
+        assert res.lambda1 == pytest.approx(-height, rel=1e-13, abs=0.0)
 
     def test_bracket_hint_converges_to_same_value(self):
         q = StepPotential.from_uniform_cells([3.0, 0.5, 7.0, 1.0])
@@ -474,6 +547,60 @@ class TestFiniteElementOracle:
     def test_minimum_resolution_enforced(self):
         with pytest.raises(ValueError):
             lambda1_fd(StepPotential.constant(0.0), BC00, 16)
+
+
+README_Q = StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0])
+NO_Q = StepPotential.constant(0.0)
+HARD_PANEL = {
+    "zero-neumann-64": (NO_Q, BC00, 64),
+    "zero-robin": (NO_Q, RobinBC(4.0, 9.0), 4096),
+    "stiff-robin": (StepPotential([0.0, 0.3, 1.0], [5.0, 40.0]), RobinBC(1.0, 1e4), 4096),
+    "masses-at-both-ends": (StepPotential([0.0, 1.0], [0.0], [(0.0, 100.0), (1.0, 100.0)]),
+                            BC00, 4096),
+    "mass-inside": (StepPotential([0.0, 1.0], [0.0], [(0.3, 100.0)]), BC00, 4096),
+    "signed": (StepPotential([0.0, 0.3, 0.7, 1.0], [-6.0, 10.0, -2.5],
+                             [(0.55, -1.5), (0.2, 2.0)]), RobinBC(1.0, 4.0), 4096),
+    "tall-half": (StepPotential([0.0, 0.5, 1.0], [1e4, 0.0]), BC11, 4096),
+    "spike": (StepPotential([0.0, 0.5, 0.5001, 1.0], [0.0, 1e6, 0.0]), BC11, 4096),
+    "readme-32": (README_Q, RobinBC(1.0, 4.0), 32),
+    "readme-65537": (README_Q, RobinBC(1.0, 4.0), 65537),
+}
+
+
+def count_factorizations(monkeypatch, solver, *args):
+    """(result, number of dpttrf calls) of solver(*args)."""
+    import scipy.linalg.lapack
+
+    real = scipy.linalg.lapack.dpttrf
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(None)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counting)
+    result = solver(*args)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", real)
+    return result, len(calls)
+
+
+class TestDeterminantSearch:
+    @pytest.mark.parametrize("case", list(HARD_PANEL))
+    def test_agrees_with_bisection_in_fewer_factorizations(self, case, monkeypatch):
+        # both certify lo by a successful dpttrf and hi by a failed one on
+        # the same matrices, so they close in on the same sign change
+        args = HARD_PANEL[case]
+        got, n_got = count_factorizations(monkeypatch, lambda1_fd, *args)
+        ref, n_ref = count_factorizations(monkeypatch, fd_bisection_reference, *args)
+        assert abs(got - ref) <= 2e-12 * max(1.0, abs(ref))
+        assert n_got <= n_ref
+
+    @pytest.mark.parametrize("deltas", [[], [(0.5, 10.0)]], ids=["plain", "mass"])
+    def test_factorization_count(self, deltas, monkeypatch):
+        # bisection needs 43 (plain) and 47 (mass) on these
+        q = StepPotential(README_Q.breakpoints, README_Q.heights, deltas)
+        _, calls = count_factorizations(monkeypatch, lambda1_fd, q, RobinBC(1.0, 4.0), 4096)
+        assert calls <= 30
 
 
 class TestRayleigh:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,17 @@ class TestSearchExtremum:
                                                      max_iters=20), BC11)
         assert res.evaluations == 1 and len(res.trace) == 1
         assert np.array_equal(res.best_q.heights, np.ones(4))
+
+    @pytest.mark.parametrize("gamma, mode, evaluations", [(2.0, "max", 39), (-1.0, "min", 21)])
+    def test_overflowing_proposal_emits_no_warning(self, gamma, mode, evaluations):
+        # a height times 1 + 1e308 overflows, and at gamma = -1 so does h / kappa
+        start = StepPotential.from_uniform_cells([4.0, 1.0, 1.0, 1.0])
+        spec = ExtremumSearchSpec(gamma=gamma, mode=mode, cells=4, max_iters=40,
+                                  step_init=1e308, start=start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = search_extremum(spec, BC11)
+        assert res.evaluations == evaluations
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -8,13 +8,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sl_extremal import (
     Potential,
     RobinBC,
     StepPotential,
     lambda1,
+    lambda1_fd,
     lambda1_zero,
     normalize_gamma,
     pnorm,
@@ -105,6 +106,21 @@ def test_monotone_in_the_potential_and_below_the_zero_potential(q, extra, more, 
     assert lam <= lambda1_zero(bc) + 1e-11 * max(1.0, abs(lam))
     lam_bumped = lambda1(bumped, bc).lambda1
     assert lam_bumped <= lam + 1e-11 * max(1.0, abs(lam), abs(lam_bumped))
+
+
+@PROPERTY
+@given(potentials(), bcs)
+def test_finite_element_oracle_bounds_lambda1_from_above(q, bc):
+    # P1 functions lie in H^1, so by min-max the Galerkin eigenvalue is an
+    # upper bound -- unless the oracle snaps a mass site onto a node
+    n = 64
+    nodes = np.linspace(0.0, 1.0, n)
+    sites = [d.site for d in q.deltas]
+    for i, site in enumerate(sites):
+        gap = np.abs(np.concatenate((nodes, sites[:i])) - site).min()
+        assume(gap == 0.0 or gap > 1e-6 / (n - 1))
+    lam = lambda1(q, bc).lambda1
+    assert lam <= lambda1_fd(q, bc, n) + 1e-11 * max(1.0, abs(lam))
 
 
 @PROPERTY
