@@ -251,6 +251,15 @@ def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
     def f(lam: float) -> float:
         return _theta_end_prepared(cells, dy0, lam) - target
 
+    def f_end(lam: float) -> float:
+        """f at a new bracket end, NaN where lam or some lam + q overflows."""
+        if not math.isfinite(lam):
+            return math.nan
+        try:
+            return f(lam)
+        except (OverflowError, ValueError):  # math.floor of an inf or NaN angle
+            return math.nan
+
     if f_lo is None:
         f_lo = f(lo)
     if f_hi is None:
@@ -258,15 +267,19 @@ def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
     expansions = 0
     while f_lo >= 0.0:
         lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
-        f_lo = f(lo)
-        if not math.isfinite(f_lo):  # also when lo is -inf
-            raise BracketNotFound(f"no lower bracket endpoint after {expansions} expansions")
+        f_lo = f_end(lo)
+        if not math.isfinite(f_lo):
+            raise BracketNotFound(
+                f"no lower bracket endpoint after {expansions} expansions"
+            )
         expansions += 1
     while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
         lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
-        f_hi = f(hi)
+        f_hi = f_end(hi)
         if not math.isfinite(f_hi):
-            raise BracketNotFound(f"no upper bracket endpoint after {expansions} expansions")
+            raise BracketNotFound(
+                f"no upper bracket endpoint after {expansions} expansions"
+            )
         expansions += 1
 
     # g_lo, g_hi are the secant weights: the value at an end kept twice in a
@@ -429,8 +442,7 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
 
     # exact -int q phi_i phi_j: on an uncut element -s times its mass matrix,
     # rounded as element by element, and the cut elements piece by piece
-    uncut, elem, ta, tb, s = _cut_elements(q.breakpoints, q.heights, grid, h)
-    he = h[elem]
+    uncut, elem, he, ta, tb, s = _cut_elements(q.breakpoints, q.heights, grid, h)
     kd[:-1] -= uncut * (h / 3.0)
     np.add.at(kd, elem, -s * (he * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0))
     kd[1:] -= uncut * (h / 3.0)
@@ -449,34 +461,45 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
         d, _, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=1, overwrite_e=1)
         return float(np.log(d).sum()) if info == 0 else None
 
-    # double [-1, 1] up while hi is positive definite, else down until lo is;
-    # pd holds (sigma, log det) at the last two certified lo
+    # double [-1, 1] up while hi is positive definite, else down until lo
+    # is; pd holds (sigma, log det) at the last two certified lo
     lo, hi, pd = -1.0, 1.0, []
     for _ in range(200):
-        if (l_hi := logdet(hi)) is None:
+        l_hi = logdet(hi)
+        if l_hi is None:
             break
-        lo, hi, pd = hi, hi + 2.0 * (hi - lo), [*pd[-1:], (hi, l_hi)]
-    for _ in range(0 if pd else 200):
-        if (l_lo := logdet(lo)) is not None:
-            pd = [(lo, l_lo)]
-            break
-        lo, hi = lo - 2.0 * (hi - lo), lo
-    if l_hi is not None or not pd:
-        raise BracketNotFound("no finite-element bracket after 200 doublings")
+        pd = pd[-1:] + [(hi, l_hi)]
+        lo, hi = hi, hi + 2.0 * (hi - lo)
+    else:
+        raise BracketNotFound("finite-element upper bracket not found")
+    if not pd:
+        for _ in range(200):
+            l_lo = logdet(lo)
+            if l_lo is not None:
+                pd = [(lo, l_lo)]
+                break
+            lo, hi = lo - 2.0 * (hi - lo), lo
+        else:
+            raise BracketNotFound("finite-element lower bracket not found")
 
     width_1 = width_2 = math.inf
-    while (width := hi - lo) > 1e-12 * max(1.0, abs(lo), abs(hi)):
+    while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
+        width = hi - lo
         x = 0.5 * (lo + hi)
         if len(pd) == 2 and width <= 0.5 * width_2:
             (x0, l0), (x1, l1) = pd
             # the secant root of det, or the last advance where rounding stalls log det
-            step = (x1 - x0) / math.expm1(min(l0 - l1, 700.0)) if l0 > l1 else x1 - x0
+            if l0 > l1:
+                step = (x1 - x0) / math.expm1(min(l0 - l1, 700.0))
+            else:
+                step = x1 - x0
             if step < 0.25 * width:
                 step *= 2.0
             if lo < lo + step < hi:
                 x = lo + step
         width_2, width_1 = width_1, width
-        if (l_x := logdet(x)) is None:
+        l_x = logdet(x)
+        if l_x is None:
             hi = x
         else:
             lo, pd = x, [pd[-1], (x, l_x)]

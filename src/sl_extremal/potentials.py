@@ -65,10 +65,11 @@ def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
 
 def _cut_elements(breakpoints: np.ndarray, heights: np.ndarray, grid: np.ndarray, h):
     """The step function on the elements (widths h: one float or an array) of a
-    sorted grid of [0, 1], in O(N + K): (uncut, elem, ta, tb, s).  uncut[e] is
-    the height on element e, 0.0 where a breakpoint cuts it; piece i, a cell's
-    part of its first or last element, spans local coordinates ta[i] < tb[i]
-    of element elem[i] at height s[i]."""
+    sorted grid of [0, 1], in O(N + K): (uncut, elem, he, ta, tb, s).
+    uncut[e] is the height on element e, 0.0 where a breakpoint cuts it;
+    piece i, a cell's part of its first or last element, spans local
+    coordinates ta[i] < tb[i] of element elem[i], of width he[i] (h itself
+    when h is one float), at height s[i]."""
     n = grid.size
     es = np.clip(np.searchsorted(grid, breakpoints[:-1], side="right") - 1, 0, n - 2)
     ee = np.clip(np.searchsorted(grid, breakpoints[1:], side="left") - 1, 0, n - 2)
@@ -77,10 +78,11 @@ def _cut_elements(breakpoints: np.ndarray, heights: np.ndarray, grid: np.ndarray
     far = np.flatnonzero(ee > es)
     cell = np.concatenate((np.arange(heights.size), far))
     elem = np.concatenate((es, ee[far]))
-    x0, he = grid[elem], (h[elem] if np.ndim(h) else h)
+    x0 = grid[elem]
+    he = h[elem] if np.ndim(h) else h
     ta = (np.maximum(breakpoints[cell], x0) - x0) / he
     tb = (np.minimum(breakpoints[cell + 1], grid[elem + 1]) - x0) / he
-    return uncut, elem, ta, tb, heights[cell]
+    return uncut, elem, he, ta, tb, heights[cell]
 
 
 class DeltaComponent(NamedTuple):

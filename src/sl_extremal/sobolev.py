@@ -28,7 +28,7 @@ def _hat_loads(f: StepPotential, grid: np.ndarray) -> np.ndarray:
     """
     n = grid.size
     h = grid[1] - grid[0]
-    inner, elem, ta, tb, s = _cut_elements(f.breakpoints, f.heights, grid, h)
+    inner, elem, _, ta, tb, s = _cut_elements(f.breakpoints, f.heights, grid, h)
     inner *= 0.5 * h
     b = np.zeros(n)
     b[:-1] += inner

@@ -254,12 +254,22 @@ class TestLambda1:
     def test_bracket_not_found_when_expansion_capped(self):
         # lambda_1 = -max float: the last finite doubling from [-1, 1] stops
         # one ulp short of it, and the next end is -inf
-        with pytest.raises(BracketNotFound, match="after 1022 expansions"):
+        with pytest.raises(BracketNotFound, match="lower bracket endpoint after 1022 expansions"):
             lambda1(StepPotential.constant(sys.float_info.max), BC00)
 
-    @pytest.mark.parametrize("height", [5e18, 1e30])
+    @pytest.mark.parametrize("heights, match", [
+        # the mirror image: the next upper end is +inf
+        ([-sys.float_info.max], "upper bracket endpoint after 1022 expansions"),
+        # lambda_1 is about -1e308, where lam + q overflows on the middle cell
+        ([1e308, -1e308, 1e308], "lower bracket endpoint after 1020 expansions"),
+    ])
+    def test_bracket_not_found_where_theta_overflows(self, heights, match):
+        with pytest.raises(BracketNotFound, match=match):
+            lambda1(StepPotential.from_uniform_cells(heights), BC00)
+
+    @pytest.mark.parametrize("height", [5e18, 1e30, 1.7e308, -1e308])
     def test_huge_constant_is_bracketed(self, height):
-        # beyond sixty doublings from [-1, 1], which reach about -4.6e18
+        # beyond sixty doublings from [-1, 1], which reach about -+4.6e18
         res = lambda1(StepPotential.constant(height), BC00)
         assert res.lambda1 == pytest.approx(-height, rel=1e-13, abs=0.0)
 
