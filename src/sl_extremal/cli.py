@@ -139,12 +139,10 @@ def _cmd_norms(args) -> str:
 def _cmd_wdist(args) -> str:
     f = _parse_potential(args, "f", signed=True)
     g = _parse_potential(args, "g", signed=True, default=StepPotential.constant(0.0))
-    if args.grid_n < 64:
-        raise CLIError("--grid-n must be >= 64")
-    value = wminus1_dist(f, g, args.grid_n)
+    value = wminus1_dist(f, g)
     if args.format == "json":
-        return dumps({"wminus1_dist": value, "grid_n": args.grid_n}) + "\n"
-    return to_csv(["wminus1_dist", "grid_n"], [[value, args.grid_n]])
+        return dumps({"wminus1_dist": value}) + "\n"
+    return to_csv(["wminus1_dist"], [[value]])
 
 
 def _cmd_family(args) -> str:
@@ -248,7 +246,6 @@ def build_parser() -> _Parser:
     p.add_argument("--f-file")
     p.add_argument("--g-json")
     p.add_argument("--g-file")
-    p.add_argument("--grid-n", type=int, default=4096)
     _add_io_options(p, "json")
     p.set_defaults(handler=_cmd_wdist)
 

@@ -411,7 +411,8 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     through the last two certified lo (log det is the sum of the log pivots)
     stays left of it.  A step small against the bracket is doubled, to
     certify hi close to the root, and two trials that have not halved the
-    bracket are followed by a bisection.
+    bracket are followed by a bisection.  Raises BracketNotFound when the
+    next bracket end, or a shifted matrix dpttrf passes, is not finite.
     """
     if n_nodes < 32:
         raise ValueError("n_nodes must be >= 32")
@@ -453,39 +454,40 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     for site, w in masses:
         kd[np.searchsorted(grid, site)] -= w
 
-    # scipy loads on first use: only this oracle and wminus1_norm need it,
-    # and importing it at the top would double the package's import time
+    # scipy loads on first use: only this oracle needs it, and importing it
+    # at the top would double the package's import time
     from scipy.linalg.lapack import dpttrf
 
     def logdet(sigma: float) -> float | None:  # None unless K - sigma M is positive definite
-        d, _, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=1, overwrite_e=1)
-        return float(np.log(d).sum()) if info == 0 else None
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            d, _, info = dpttrf(kd - sigma * md, ke - sigma * me, overwrite_d=1, overwrite_e=1)
+        if info:
+            return None
+        log_det = float(np.log(d).sum())
+        if not math.isfinite(log_det):  # dpttrf passes an overflowed +inf diagonal
+            raise BracketNotFound(f"K - sigma M is not finite at sigma = {sigma!r}")
+        return log_det
 
     # double [-1, 1] up while hi is positive definite, else down until lo
-    # is; pd holds (sigma, log det) at the last two certified lo
+    # is, as long as the next end is finite; pd holds (sigma, log det) at
+    # the last two certified lo
     lo, hi, pd = -1.0, 1.0, []
-    for _ in range(200):
-        l_hi = logdet(hi)
-        if l_hi is None:
-            break
+    while (l_hi := logdet(hi)) is not None:
         pd = pd[-1:] + [(hi, l_hi)]
         lo, hi = hi, hi + 2.0 * (hi - lo)
-    else:
-        raise BracketNotFound("finite-element upper bracket not found")
+        if not math.isfinite(hi):
+            raise BracketNotFound("finite-element upper bracket not found")
     if not pd:
-        for _ in range(200):
-            l_lo = logdet(lo)
-            if l_lo is not None:
-                pd = [(lo, l_lo)]
-                break
+        while (l_lo := logdet(lo)) is None:
             lo, hi = lo - 2.0 * (hi - lo), lo
-        else:
-            raise BracketNotFound("finite-element lower bracket not found")
+            if not math.isfinite(lo):
+                raise BracketNotFound("finite-element lower bracket not found")
+        pd = [(lo, l_lo)]
 
     width_1 = width_2 = math.inf
     while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
         width = hi - lo
-        x = 0.5 * (lo + hi)
+        x = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
         if len(pd) == 2 and width <= 0.5 * width_2:
             (x0, l0), (x1, l1) = pd
             # the secant root of det, or the last advance where rounding stalls log det
@@ -503,7 +505,7 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
             hi = x
         else:
             lo, pd = x, [pd[-1], (x, l_x)]
-    return float(0.5 * (lo + hi))
+    return float(0.5 * lo + 0.5 * hi)
 
 
 # --- variational upper bound ------------------------------------------------

@@ -64,12 +64,12 @@ def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
 
 
 def _cut_elements(breakpoints: np.ndarray, heights: np.ndarray, grid: np.ndarray, h):
-    """The step function on the elements (widths h: one float or an array) of a
-    sorted grid of [0, 1], in O(N + K): (uncut, elem, he, ta, tb, s).
-    uncut[e] is the height on element e, 0.0 where a breakpoint cuts it;
-    piece i, a cell's part of its first or last element, spans local
-    coordinates ta[i] < tb[i] of element elem[i], of width he[i] (h itself
-    when h is one float), at height s[i]."""
+    """The step function on the elements (widths h = diff(grid)) of a sorted
+    grid of [0, 1], in O(N + K), for the ``lambda1_fd`` oracle's assembly:
+    (uncut, elem, he, ta, tb, s).  uncut[e] is the height on element e, 0.0
+    where a breakpoint cuts it; piece i, a cell's part of its first or last
+    element, spans local coordinates ta[i] < tb[i] of element elem[i], of
+    width he[i], at height s[i]."""
     n = grid.size
     es = np.clip(np.searchsorted(grid, breakpoints[:-1], side="right") - 1, 0, n - 2)
     ee = np.clip(np.searchsorted(grid, breakpoints[1:], side="left") - 1, 0, n - 2)
@@ -79,7 +79,7 @@ def _cut_elements(breakpoints: np.ndarray, heights: np.ndarray, grid: np.ndarray
     cell = np.concatenate((np.arange(heights.size), far))
     elem = np.concatenate((es, ee[far]))
     x0 = grid[elem]
-    he = h[elem] if np.ndim(h) else h
+    he = h[elem]
     ta = (np.maximum(breakpoints[cell], x0) - x0) / he
     tb = (np.minimum(breakpoints[cell + 1], grid[elem + 1]) - x0) / he
     return uncut, elem, he, ta, tb, heights[cell]

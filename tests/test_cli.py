@@ -111,24 +111,21 @@ class TestNorms:
 
 class TestWdist:
     def test_norm_of_delta(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "wdist", "--f-json", DELTA_HALF, "--grid-n", "1024"
-        )
+        code, out, _ = run_cli(capsys, "wdist", "--f-json", DELTA_HALF)
         assert code == 0
         payload = check_schema(out)
-        assert 1.0 < payload["wminus1_dist"] < 1.1
+        # ||delta_1/2||^2 = cosh(1/2)^2 / sinh 1 = coth(1/2) / 2
+        assert payload["wminus1_dist"] == pytest.approx(math.sqrt(0.5 / math.tanh(0.5)), rel=1e-15)
 
     def test_distance_between_step_and_itself(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "wdist", "--f-json", Q_STEP, "--g-json", Q_STEP, "--grid-n", "64"
-        )
+        code, out, _ = run_cli(capsys, "wdist", "--f-json", Q_STEP, "--g-json", Q_STEP)
         assert code == 0
         assert check_schema(out)["wminus1_dist"] == 0.0
 
     def test_unrepresentable_distance_is_an_error(self, capsys):
         f = ('{"breakpoints":[0,1],"heights":[0],"deltas":'
              '[{"site":0.25,"weight":1e308},{"site":0.75,"weight":1e308}]}')
-        code, out, err = run_cli(capsys, "wdist", "--f-json", f, "--grid-n", "1024")
+        code, out, err = run_cli(capsys, "wdist", "--f-json", f)
         assert code == 2 and out == ""
         assert check_schema(err)["code"] == 2
         assert "Traceback" not in err
@@ -142,7 +139,7 @@ class TestWdist:
     ], ids=["merged_weight", "masses_in_one_hat", "heights"])
     def test_overflow_error_is_the_only_stderr_line(self, f, g):
         # run in a fresh interpreter: pytest would capture a numpy warning
-        argv = ["wdist", "--f-json", f, "--grid-n", "64"]
+        argv = ["wdist", "--f-json", f]
         if g is not None:
             argv += ["--g-json", g]
         proc = subprocess.run(
@@ -169,14 +166,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["search", "--mode", "max", "--gamma", "2", "--cells", "4",
               "--k0sq", "1", "--k1sq", "1", "--max-iters", "25"]),
     ]
+main(["wdist", "--f-json", {delta!r}])
 print(codes, "scipy" in sys.modules)
 from sl_extremal import Potential, RobinBC, StepPotential, lambda1_fd
 q = Potential(StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0]), [(0.4, 2.0)])
-print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)))
-main(["wdist", "--f-json", {delta!r}, "--grid-n", "1024"])
+print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpmath" in sys.modules)
 """
 
-    def test_scipy_loads_only_for_the_oracle_and_negative_norms(self):
+    def test_scipy_loads_only_for_the_oracle_and_mpmath_never(self):
         # a fresh interpreter, since pytest itself has imported scipy by now
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT.format(q_step=Q_STEP, delta=DELTA_HALF)],
@@ -186,11 +183,11 @@ main(["wdist", "--f-json", {delta!r}, "--grid-n", "1024"])
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        # the oracle and the distance read as they did with a top-level import
+        # the unit mass at 1/2 has norm sqrt(coth(1/2) / 2) = 1.0401810933050679...
         assert proc.stdout.splitlines() == [
+            '{"wminus1_dist":1.0401810933050679}',
             "[0, 0, 0] False",
-            "-3.1486782112175886",
-            '{"wminus1_dist":1.0401810551651851,"grid_n":1024}',
+            "-3.1486782112175886 True False",
         ]
 
 
@@ -358,13 +355,6 @@ class TestErrorPaths:
         assert code == 3
         check_schema(err)
 
-    def test_bad_grid_n(self, capsys):
-        code, _, err = run_cli(
-            capsys, "wdist", "--f-json", Q_STEP, "--grid-n", "8"
-        )
-        assert code == 2
-        check_schema(err)
-
 
 def _q(heights="[1]", deltas=None, breakpoints="[0,1]"):
     extra = "" if deltas is None else f',"deltas":{deltas}'
@@ -381,7 +371,6 @@ HOSTILE = {
     "slack-vacuous": (*THM1, "--slack-fraction", "1"),
     "step-init-inf": (*SEARCH, "--cells", "4", "--step-init", "inf"),
     # numpy refuses these 745 GiB arrays at once, so nothing is allocated
-    "grid-n-huge": ("wdist", "--f-json", Q_STEP, "--grid-n", "100000000000"),
     "cells-huge": (*SEARCH, "--cells", "100000000000"),
     "eigenfunction-huge": (*EIG, _q(), "--eigenfunction", "100000000000"),
     "nan-height": (*EIG, _q("[NaN]")),
@@ -410,7 +399,7 @@ class TestHostileInputs:
 
     def test_wdist_takes_signed_input(self, capsys):
         f = _q("[2,-1]", '[{"site":0.25,"weight":-3}]', "[0,0.5,1]")
-        code, out, _ = run_cli(capsys, "wdist", "--f-json", f, "--g-json", f, "--grid-n", "64")
+        code, out, _ = run_cli(capsys, "wdist", "--f-json", f, "--g-json", f)
         assert code == 0 and check_schema(out)["wminus1_dist"] == 0.0
 
     def test_thin_tall_block_certifies(self, capsys):

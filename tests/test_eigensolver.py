@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -611,6 +612,23 @@ class TestDeterminantSearch:
         q = StepPotential(README_Q.breakpoints, README_Q.heights, deltas)
         _, calls = count_factorizations(monkeypatch, lambda1_fd, q, RobinBC(1.0, 4.0), 4096)
         assert calls <= 30
+
+
+    @pytest.mark.parametrize("height", [1e70, 1.7e308, -1.7e308])
+    def test_huge_constant_is_bracketed(self, height):
+        # P1 is exact for a constant under Neumann; 200 doublings of [-1, 1]
+        # reach only about 1.6e60
+        got = lambda1_fd(StepPotential.constant(height), BC00, 64)
+        assert got == pytest.approx(-height, rel=1e-12, abs=0.0)
+
+    def test_overflowing_shifted_diagonal_is_not_certified(self):
+        # the lower doubling reaches sigma = -max float, where the mass node's
+        # diagonal overflows to +inf, which dpttrf factors with info 0
+        q = StepPotential([0.0, 1.0], [1e308], [(0.5, -1.79e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketNotFound, match="not finite"):
+                lambda1_fd(q, BC00, 32)
 
 
 class TestRayleigh:

@@ -1,8 +1,9 @@
-"""The negative norm against its definition.
+"""The negative norm against its definition and a 50-digit evaluation.
 
 ``SampledFunction``, ``w1_norm`` and ``pairing`` below are the definitional
-cross-check of ``wminus1_norm``: the discrete norm is the supremum of
-|<f, z>| over piecewise-linear z with ||z||_{W^1_2} <= 1.
+cross-check of ``wminus1_norm``: the norm is the supremum of |<f, z>| over z
+with ||z||_{W^1_2} <= 1, so every piecewise-linear z bounds it from below.
+``mp_norm`` evaluates the same norm in 50 digits by another route.
 """
 
 import math
@@ -11,8 +12,18 @@ import warnings
 import numpy as np
 import pytest
 
-from sl_extremal import Potential, StepPotential, wminus1_dist, wminus1_norm
-from sl_extremal.sobolev import _hat_loads
+from sl_extremal import (
+    Potential,
+    SpikeTrainSpec,
+    StepPotential,
+    statement1_family,
+    statement2_family,
+    wminus1_dist,
+    wminus1_norm,
+)
+from sl_extremal.potentials import _cut_elements
+
+README_MEASURE = StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0], [(0.5, 10.0)])
 
 
 class SampledFunction:
@@ -50,7 +61,7 @@ def w1_norm(z: SampledFunction) -> float:
 
 def pairing(f: StepPotential, z: SampledFunction) -> float:
     """Duality pairing <f, z> = sum_i z_i <f, phi_i>, z being a sum of hats."""
-    return float(np.dot(z.values, _hat_loads(f, z.grid)))
+    return float(np.dot(z.values, reference_loads(f, z.values.size - 1)))
 
 
 def random_measure(rng: np.random.Generator) -> StepPotential:
@@ -112,55 +123,55 @@ class TestPairing:
 
 class TestWminus1Norm:
     def test_zero_measure(self):
-        assert wminus1_norm(StepPotential.constant(0.0), 64) == 0.0
+        assert wminus1_norm(StepPotential.constant(0.0)) == 0.0
 
     @pytest.mark.parametrize("c", [1.0, -3.0, 0.25])
     def test_constant_achieved_by_constant_test_function(self, c):
-        assert wminus1_norm(StepPotential([0, 1], [c]), 256) == pytest.approx(
-            abs(c), rel=1e-10
-        )
+        # the representer of a constant c is the constant c itself
+        assert wminus1_norm(StepPotential([0, 1], [c])) == pytest.approx(abs(c), rel=1e-14)
 
-    def test_minimum_grid_enforced(self):
-        with pytest.raises(ValueError):
-            wminus1_norm(StepPotential.constant(0.0), 32)
+    @pytest.mark.parametrize("zeta", [0.0, 0.25, 0.5, 1.0])
+    def test_point_mass_closed_form(self, zeta):
+        # ||delta_zeta||^2 = G(zeta, zeta), G(x, y) = cosh x_< cosh(1 - x_>) / sinh 1
+        d = StepPotential([0, 1], [0.0], [(zeta, 1.0)])
+        expected = math.cosh(zeta) * math.cosh(1.0 - zeta) / math.sinh(1.0)
+        assert wminus1_norm(d) ** 2 == pytest.approx(expected, rel=1e-13)
 
-    def test_grid_monotone_under_refinement(self):
+    def test_galerkin_values_rise_to_the_exact_norm(self):
+        # the P1 Riesz value is the supremum over a subspace of the unit ball
         rng = np.random.default_rng(41)
-        for _ in range(5):
-            f = random_measure(rng)
-            vals = [wminus1_norm(f, g) for g in (64, 128, 256, 512)]
-            assert all(a <= b + 1e-13 for a, b in zip(vals, vals[1:]))
+        for f in (README_MEASURE, *(random_measure(rng) for _ in range(4))):
+            exact = wminus1_norm(f)
+            gaps = [exact - reference_norm(f, g) for g in (64, 128, 256, 512)]
+            assert all(gap >= 0.0 for gap in gaps)
+            assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             f, g = random_measure(rng), random_measure(rng)
-            nf = wminus1_norm(f, 256)
-            ng = wminus1_norm(g, 256)
+            nf = wminus1_norm(f)
+            ng = wminus1_norm(g)
             # ||f - g|| <= ||f|| + ||-g||, and ||-g|| = ||g||
-            nfg = wminus1_norm(f - g, 256)
-            assert nfg <= (nf + ng) * (1.0 + 1e-9)
+            nfg = wminus1_norm(f - g)
+            assert nfg <= (nf + ng) * (1.0 + 1e-12)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
             f = random_measure(rng)
             c = float(rng.uniform(0.2, 5.0))
-            assert wminus1_norm(f.scaled(c), 256) == pytest.approx(
-                c * wminus1_norm(f, 256), rel=1e-9
-            )
+            assert wminus1_norm(f.scaled(c)) == pytest.approx(c * wminus1_norm(f), rel=1e-13)
 
     def test_duality_bound(self):
         rng = np.random.default_rng(44)
-        grid_n = 256
         for _ in range(10):
             f = random_measure(rng)
-            nf = wminus1_norm(f, grid_n)
-            for sub in (4, 16, 64, 256):  # divisor grids embed in the norm grid
+            nf = wminus1_norm(f)
+            for sub in (4, 16, 64, 256):
                 values = rng.normal(size=sub + 1)
                 z = SampledFunction(values)
-                bound = nf * w1_norm(z) * (1.0 + 10.0 / grid_n)
-                assert abs(pairing(f, z)) <= bound + 1e-12
+                assert abs(pairing(f, z)) <= nf * w1_norm(z) + 1e-12
 
 
 def reference_loads(f: StepPotential, grid_n: int) -> list[float]:
@@ -223,20 +234,86 @@ def reference_cases() -> list[tuple[StepPotential, int]]:
     return cases
 
 
+def mp_norm(f: StepPotential) -> float:
+    """sqrt(<f, u>) in 50 digits for the float data of f.
+
+    The representer is shot cell by cell as u = u_p + alpha cosh x, where u_p
+    starts at u_p(0) = 0 and u_p' jumps by -w at a mass, as u' does;
+    u'(1) = 0 fixes alpha.  The pairing <f, u> = sum s int u + sum w u(site) is the squared
+    norm, a different sum from the cell energies the package adds up.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mpf, cosh, sinh = mpmath.mpf, mpmath.cosh, mpmath.sinh
+    with mpmath.workdps(50):
+        masses = {mpf(site): mpf(w) for site, w in f.deltas}
+        bps = [mpf(float(x)) for x in f.breakpoints]
+        nodes = sorted(set(bps) | set(masses))
+        cell, u, du, pieces, at_node = 0, mpf(0), mpf(0), [], {}
+        for a, b in zip(nodes, nodes[1:]):
+            while bps[cell + 1] <= a:
+                cell += 1
+            s, length = mpf(float(f.heights[cell])), b - a
+            at_node[a] = u
+            du -= masses.get(a, 0)
+            pieces.append((s, a, length, u, du))
+            u, du = (s + (u - s) * cosh(length) + du * sinh(length),
+                     (u - s) * sinh(length) + du * cosh(length))
+        at_node[nodes[-1]] = u
+        alpha = (masses.get(nodes[-1], 0) - du) / sinh(1)
+        total = mpf(0)
+        for s, a, length, u, du in pieces:
+            u0, du0 = u + alpha * cosh(a), du + alpha * sinh(a)
+            total += s * (s * length + (u0 - s) * sinh(length) + du0 * (cosh(length) - 1))
+        for site, w in masses.items():
+            total += w * (at_node[site] + alpha * cosh(site))
+        return float(mpmath.sqrt(total))
+
+
+def assert_matches_mp(f: StepPotential, rel: float) -> None:
+    got, ref = wminus1_norm(f), mp_norm(f)
+    assert abs(got - ref) <= rel * ref, (got, ref)
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("f, grid_n", reference_cases())
     def test_hat_loads(self, f, grid_n):
-        ref = np.array(reference_loads(f, grid_n))
-        got = _hat_loads(f, np.linspace(0.0, 1.0, grid_n + 1))
+        # the oracle's cut-element helper, assembled into the step part's P1 loads
+        grid = np.linspace(0.0, 1.0, grid_n + 1)
+        h = 1.0 / grid_n
+        inner, elem, _, ta, tb, s = _cut_elements(f.breakpoints, f.heights, grid,
+                                                  np.full(grid_n, h))
+        got = np.zeros(grid.size)
+        got[:-1] += 0.5 * h * inner
+        got[1:] += 0.5 * h * inner
+        load_right = s * h * 0.5 * (tb**2 - ta**2)
+        np.add.at(got, elem, s * h * (tb - ta) - load_right)
+        np.add.at(got, elem + 1, load_right)
+        ref = np.array(reference_loads(StepPotential(f.breakpoints, f.heights), grid_n))
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("f, grid_n", reference_cases())
     def test_norm(self, f, grid_n):
-        assert wminus1_norm(f, grid_n) == pytest.approx(reference_norm(f, grid_n), rel=1e-12)
+        exact = wminus1_norm(f)
+        assert exact == pytest.approx(mp_norm(f), rel=1e-13)
+        assert reference_norm(f, grid_n) <= exact
+
+    def test_readme_measure(self):
+        assert_matches_mp(README_MEASURE, 1e-13)
+
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4, 10**5, 10**6])
+    def test_spike_minus_point_mass(self, n):
+        q, _ = statement1_family(0.5, n, 0.25)
+        assert_matches_mp(q - StepPotential([0, 1], [0.0], [(0.5, 1.0)]), 1e-13)
+
+    @pytest.mark.parametrize("m", [100, 1000])
+    def test_spike_train_minus_its_level(self, m):
+        # the README's top level rho* = 1000 with spikes of height 1e13
+        q, kappa = statement2_family(SpikeTrainSpec(1000.0, 0.1, m, 1e13, 0.75), 0.5)
+        assert_matches_mp(q - StepPotential.constant(1000.0 / kappa), 1e-12)
 
     @pytest.mark.parametrize("c", [1e-170, -1e-170, 1e300, -1e300])
     def test_homogeneity_at_extreme_scales(self, c):
-        # b^T A^-1 b itself under- or overflows at these scales
+        # without the power-of-two prescaling the energy under- or overflows here
         rng = np.random.default_rng(48)
         for f in (StepPotential([0, 1], [1.0]), StepPotential([0.0, 0.5, 1.0], [1.0, -1.0]),
                   random_measure(rng), random_measure(rng)):
@@ -250,8 +327,8 @@ class TestAgainstReference:
         f = StepPotential([0, 1], [0.0], [(0.25, 1e308), (0.75, 1e308)])
         with pytest.raises(ValueError):
             wminus1_norm(f, 256)
-        # the loads of two masses on one node overflow before the solve; the
-        # error is the only report, with no numpy warning before it
+        # two masses 1e-9 apart: the error is the only report, with no numpy
+        # warning before it
         g = StepPotential([0, 1], [0.0], [(0.5, 1e308), (0.5 + 1e-9, 1e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -263,22 +340,20 @@ class TestWminus1Dist:
     def test_identical_measures(self):
         rng = np.random.default_rng(45)
         f = random_measure(rng)
-        assert wminus1_dist(f, f, 64) == 0.0
+        assert wminus1_dist(f, f) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(46)
         f, g = random_measure(rng), random_measure(rng)
-        assert wminus1_dist(f, g, 256) == pytest.approx(
-            wminus1_dist(g, f, 256), rel=1e-12
-        )
+        assert wminus1_dist(f, g) == pytest.approx(wminus1_dist(g, f), rel=1e-14)
 
     def test_spike_converges_to_the_point_mass(self):
         delta = StepPotential([0, 1], [0.0], [(0.5, 1.0)])
         dists = []
         for n in (100, 1000, 10000):
             spike = StepPotential([0.0, 0.5 - 1.0 / n, 0.5, 1.0], [0.0, float(n), 0.0])
-            d = wminus1_dist(spike, delta, 2**14)
-            assert d <= math.sqrt(1.0 / n) + 2.0 * 2.0**-14
+            d = wminus1_dist(spike, delta)
+            assert d <= math.sqrt(1.0 / n)
             dists.append(d)
         assert dists[0] > dists[1] > dists[2]
 
@@ -288,8 +363,9 @@ class TestWminus1Dist:
             for n in (100, 1000, 10000):
                 a = max(zeta - 1.0 / n, 0.0)
                 spike = StepPotential([0.0, a, a + 1.0 / n, 1.0], [0.0, float(n), 0.0])
-                d = wminus1_dist(spike, delta, 2**14)
-                assert d <= math.sqrt(1.0 / n) + 2.0 / 2**14
+                d = wminus1_dist(spike, delta)
+                # ||spike - delta||^2 = 1/(3n) + O(1/n^2): the kink of G at the site
+                assert d == pytest.approx(math.sqrt(1.0 / (3 * n)), rel=0.2 / n)
 
     def test_exact_subtraction_cancels_shared_parts(self):
         f = StepPotential([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
