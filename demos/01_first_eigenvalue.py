@@ -41,4 +41,4 @@ print("extra attraction lowers the eigenvalue:",
 print("\n== Rayleigh quotient of the computed eigenfunction ==")
 quot = rayleigh(qd, bc, res_d.eigenfunction_samples)
 print(f"quotient {quot:.8f} vs eigenvalue {res_d.lambda1:.8f} "
-      f"(difference {abs(quot - res_d.lambda1):.2e}, quadrature-limited)")
+      f"(difference {abs(quot - res_d.lambda1):.2e}: the mass at 0.4 is off the sample grid)")

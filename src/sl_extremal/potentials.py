@@ -59,30 +59,7 @@ def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
     Cells are taken half-open to the right; x outside [0, 1) falls into the
     first or last cell.
     """
-    i = np.searchsorted(breakpoints, x, side="right") - 1
-    return heights[np.clip(i, 0, heights.size - 1)]
-
-
-def _cut_elements(breakpoints: np.ndarray, heights: np.ndarray, grid: np.ndarray, h):
-    """The step function on the elements (widths h = diff(grid)) of a sorted
-    grid of [0, 1], in O(N + K), for the ``lambda1_fd`` oracle's assembly:
-    (uncut, elem, he, ta, tb, s).  uncut[e] is the height on element e, 0.0
-    where a breakpoint cuts it; piece i, a cell's part of its first or last
-    element, spans local coordinates ta[i] < tb[i] of element elem[i], of
-    width he[i], at height s[i]."""
-    n = grid.size
-    es = np.clip(np.searchsorted(grid, breakpoints[:-1], side="right") - 1, 0, n - 2)
-    ee = np.clip(np.searchsorted(grid, breakpoints[1:], side="left") - 1, 0, n - 2)
-    uncut = np.repeat(heights, np.diff(es, append=n - 1))
-    uncut[es] = uncut[ee] = 0.0
-    far = np.flatnonzero(ee > es)
-    cell = np.concatenate((np.arange(heights.size), far))
-    elem = np.concatenate((es, ee[far]))
-    x0 = grid[elem]
-    he = h[elem]
-    ta = (np.maximum(breakpoints[cell], x0) - x0) / he
-    tb = (np.minimum(breakpoints[cell + 1], grid[elem + 1]) - x0) / he
-    return uncut, elem, he, ta, tb, heights[cell]
+    return heights[np.searchsorted(breakpoints[1:-1], x, side="right")]
 
 
 class DeltaComponent(NamedTuple):
@@ -294,11 +271,12 @@ def shift(q, c: float) -> StepPotential:
 
 
 def refine_common(a, b) -> tuple[StepPotential, StepPotential]:
-    """Re-express both potentials on the union of their breakpoints; their
-    point masses are carried along unchanged."""
+    """Re-express both potentials on the union of their breakpoints, read at
+    each union cell's left end (cells are half-open to the right, and the
+    midpoint of a one-ulp cell rounds to its right end); their point masses
+    are carried along unchanged."""
     grid = np.union1d(a.breakpoints, b.breakpoints)
-    mids = 0.5 * (grid[:-1] + grid[1:])
     return tuple(
-        StepPotential(grid, _cell_values(q.breakpoints, q.heights, mids), q.deltas)
+        StepPotential(grid, _cell_values(q.breakpoints, q.heights, grid[:-1]), q.deltas)
         for q in (a, b)
     )

@@ -187,7 +187,7 @@ print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpma
         assert proc.stdout.splitlines() == [
             '{"wminus1_dist":1.0401810933050679}',
             "[0, 0, 0] False",
-            "-3.1486782112175886 True False",
+            "-3.1486812579155536 True False",
         ]
 
 

@@ -26,6 +26,8 @@ from sl_extremal import (
     verify_thm1,
 )
 
+from sl_extremal.eigensolver import _bisect, _fitted, _p1_brackets
+
 from conftest import random_step
 
 BC00 = RobinBC(0.0, 0.0)
@@ -69,62 +71,34 @@ def theta_reference(pot: StepPotential, bc: RobinBC, lam: float) -> float:
     return theta
 
 
-def fd_bisection_reference(q, bc: RobinBC, n_nodes: int) -> float:
-    """The oracle's former form: the same P1 matrices, assembled piece by
-    piece over the union of grid and breakpoints, and plain bisection on the
-    dpttrf positive-definiteness test to a width of 1e-12 * max(1, |lo|, |hi|)."""
+def fitted_bisection_root(q, bc: RobinBC, x) -> float:
+    """lambda_1^h of the P1 space on the nodes x, assembled element by element
+    (heights read at element midpoints, each mass on its nearest node), by
+    plain bisection on the dpttrf positive-definiteness test to a width of
+    1e-12 * max(1, |lo|, |hi|)."""
     from scipy.linalg.lapack import dpttrf
 
-    n = int(n_nodes)
-    grid = np.linspace(0.0, 1.0, n)
-    snap = 1e-6 / (n - 1)
-    masses = []
-    for site, w in q.deltas:
-        j = int(np.searchsorted(grid, site))
-        if grid[j] - site <= snap:
-            site = grid[j]
-        elif site - grid[j - 1] <= snap:
-            site = grid[j - 1]
-        else:
-            grid = np.insert(grid, j, site)
-        masses.append((site, w))
-    h = np.diff(grid)
-    kd = np.zeros(grid.size)
-    kd[:-1] += 1.0 / h
-    kd[1:] += 1.0 / h
-    ke = -1.0 / h
-    md = np.zeros(grid.size)
-    md[:-1] += h / 3.0
-    md[1:] += h / 3.0
-    me = h / 6.0
+    kd, md = np.zeros(x.size), np.zeros(x.size)
+    ke, me = np.zeros(x.size - 1), np.zeros(x.size - 1)
+    for i, (a, b) in enumerate(zip(x[:-1], x[1:])):
+        h, s = b - a, q.value_at(0.5 * (a + b))
+        for j in (i, i + 1):
+            kd[j] += 1.0 / h - s * h / 3.0
+            md[j] += h / 3.0
+        ke[i], me[i] = -1.0 / h - s * h / 6.0, h / 6.0
     kd[0] += bc.k0sq
     kd[-1] += bc.k1sq
-    pts = np.union1d(grid, q.breakpoints)
-    a, b = pts[:-1], pts[1:]
-    mids = 0.5 * (a + b)
-    elem = np.clip(np.searchsorted(grid, mids, side="right") - 1, 0, grid.size - 2)
-    cell = np.searchsorted(q.breakpoints, mids, side="right") - 1
-    sval = q.heights[np.clip(cell, 0, q.heights.size - 1)]
-    he = h[elem]
-    ta = (a - grid[elem]) / he
-    tb = (b - grid[elem]) / he
-    i_ll = he * ((1.0 - ta) ** 3 - (1.0 - tb) ** 3) / 3.0
-    i_rr = he * (tb**3 - ta**3) / 3.0
-    i_lr = he * ((tb**2 - ta**2) / 2.0 - (tb**3 - ta**3) / 3.0)
-    np.add.at(kd, elem, -sval * i_ll)
-    np.add.at(kd, elem + 1, -sval * i_rr)
-    np.add.at(ke, elem, -sval * i_lr)
-    for site, w in masses:
-        kd[np.searchsorted(grid, site)] -= w
+    for site, w in q.deltas:
+        kd[np.argmin(np.abs(x - site))] -= w
 
     def below(sigma):
         return dpttrf(kd - sigma * md, ke - sigma * me)[2] == 0
 
     lo, hi = -1.0, 1.0
     while below(hi):
-        hi += hi - lo
+        lo, hi = hi, hi + 2.0 * (hi - lo)
     while not below(lo):
-        lo -= hi - lo
+        lo, hi = lo - 2.0 * (hi - lo), lo
     while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if below(mid):
@@ -521,14 +495,17 @@ class TestFiniteElementOracle:
         assert fd == pytest.approx(sh, abs=1e-5)
 
     @pytest.mark.parametrize("with_delta", [False, True])
-    def test_second_order_convergence(self, with_delta):
+    def test_fourth_order_convergence(self, with_delta):
+        # Richardson over a fitted mesh and its bisection: the error falls
+        # 16-fold per halving of h, read well above the rounding floor
         q = random_step(np.random.default_rng(3))
         pot = Potential(q, [(0.4123456789, 3.0)] if with_delta else [])
         bc = RobinBC(1.0, 4.0)
         exact = lambda1(pot, bc).lambda1
-        errs = [abs(lambda1_fd(pot, bc, m + 1) - exact) for m in (1024, 2048, 4096)]
-        assert 3.0 <= errs[0] / errs[1] <= 5.0
-        assert 3.0 <= errs[1] / errs[2] <= 5.0
+        errs = [abs(lambda1_fd(pot, bc, m + 1) - exact) for m in (128, 256, 512)]
+        assert errs[-1] > 1e-11
+        assert 12.0 <= errs[0] / errs[1] <= 20.0
+        assert 12.0 <= errs[1] / errs[2] <= 20.0
 
     def test_point_masses_close_to_shooting(self):
         rng = np.random.default_rng(5)
@@ -553,6 +530,18 @@ class TestFiniteElementOracle:
         bc = RobinBC(1.0, 4.0)
         assert lambda1_fd(pot, bc, 4096) == pytest.approx(
             lambda1(pot, bc).lambda1, abs=1e-6
+        )
+
+    def test_sliver_cells_and_sites_are_merged(self):
+        # a one-ulp cell and a site one ulp from another are not nodes: the
+        # sliver elements would ruin the conditioning
+        up = math.nextafter(0.3, 1.0)
+        pot = StepPotential([0.0, 0.3, up, 1.0], [1.0, 2e6, 3.0],
+                            [(0.6, 5.0), (math.nextafter(0.6, 1.0), 10.0), (5e-324, 2.0)])
+        bc = RobinBC(1.0, 4.0)
+        assert up not in _fitted(pot, bc, 64).x
+        assert lambda1_fd(pot, bc, 4096) == pytest.approx(
+            lambda1(pot, bc).lambda1, rel=1e-11
         )
 
     def test_minimum_resolution_enforced(self):
@@ -598,26 +587,34 @@ def count_factorizations(monkeypatch, solver, *args):
 class TestDeterminantSearch:
     @pytest.mark.parametrize("case", list(HARD_PANEL))
     def test_agrees_with_bisection_in_fewer_factorizations(self, case, monkeypatch):
-        # both certify lo by a successful dpttrf and hi by a failed one on
-        # the same matrices, so they close in on the same sign change
-        args = HARD_PANEL[case]
-        got, n_got = count_factorizations(monkeypatch, lambda1_fd, *args)
-        ref, n_ref = count_factorizations(monkeypatch, fd_bisection_reference, *args)
-        assert abs(got - ref) <= 2e-12 * max(1.0, abs(ref))
+        # on each mesh a successful dpttrf certifies sigma, and RQ is the
+        # quotient of a P1 function; the bisection on independently
+        # assembled matrices of the same mesh resolves lambda_1^h only to
+        # its own width and its predicate's rounding noise, about eps * nodes^2
+        q, bc, n = HARD_PANEL[case]
+        x = _fitted(q, bc, n).x
+        meshes = (x, _bisect(x))
+        brackets, n_got = count_factorizations(monkeypatch, _p1_brackets, q, bc, n)
+        n_ref = 0
+        for (sigma, rq), nodes in zip(brackets, meshes):
+            root, calls = count_factorizations(monkeypatch, fitted_bisection_root, q, bc, nodes)
+            n_ref += calls
+            scale = max(1.0, abs(root))
+            assert sigma < root
+            assert abs(rq - root) <= (1e-12 + 1e-15 * nodes.size**2) * scale
         assert n_got <= n_ref
 
     @pytest.mark.parametrize("deltas", [[], [(0.5, 10.0)]], ids=["plain", "mass"])
     def test_factorization_count(self, deltas, monkeypatch):
-        # bisection needs 43 (plain) and 47 (mass) on these
+        # the determinant search that narrowed the bracket to 1e-12 needed 24 and 25
         q = StepPotential(README_Q.breakpoints, README_Q.heights, deltas)
         _, calls = count_factorizations(monkeypatch, lambda1_fd, q, RobinBC(1.0, 4.0), 4096)
-        assert calls <= 30
-
+        assert calls <= 16
 
     @pytest.mark.parametrize("height", [1e70, 1.7e308, -1.7e308])
     def test_huge_constant_is_bracketed(self, height):
-        # P1 is exact for a constant under Neumann; 200 doublings of [-1, 1]
-        # reach only about 1.6e60
+        # P1 is exact for a constant under Neumann, and the constant's
+        # quotient, where the search starts, is -height
         got = lambda1_fd(StepPotential.constant(height), BC00, 64)
         assert got == pytest.approx(-height, rel=1e-12, abs=0.0)
 
@@ -668,6 +665,18 @@ class TestRayleigh:
         pot = Potential(StepPotential.constant(0.0), [(0.5, 2.0)])
         samples = [(x, 1.0) for x in np.linspace(0, 1, 9)]
         assert rayleigh(pot, BC00, samples) == pytest.approx(-2.0, abs=1e-12)
+
+    def test_mass_a_subnormal_width_from_an_end(self):
+        pot = StepPotential([0.0, 1.0], [0.0], [(1e-310, 2.0)])
+        samples = [(x, 1.0) for x in np.linspace(0, 1, 9)]
+        assert rayleigh(pot, BC00, samples) == pytest.approx(-2.0, abs=1e-12)
+
+    def test_one_ulp_cell_keeps_its_height(self):
+        # the midpoint of a one-ulp cell rounds to its right end
+        up = math.nextafter(0.3, 1.0)
+        pot = StepPotential([0.0, 0.3, up, 1.0], [0.0, 1e16, 0.0])
+        samples = [(x, 1.0) for x in np.linspace(0, 1, 9)]
+        assert rayleigh(pot, BC00, samples) == pytest.approx(-1e16 * (up - 0.3), rel=1e-12)
 
 
 class TestConfigValidation:

@@ -260,6 +260,11 @@ class TestRefineCommon:
         assert np.array_equal(ra.heights, [1.0, 2.0, 2.0])
         assert np.array_equal(rb.heights, [5.0, 5.0, 6.0])
 
+    def test_one_ulp_cell_keeps_its_height(self):
+        # the midpoint of a one-ulp cell rounds to its right end
+        q = StepPotential([0.0, 0.3, math.nextafter(0.3, 1.0), 1.0], [1.0, 2.0, 3.0])
+        assert np.array_equal((q - StepPotential.constant(0.0)).heights, [1.0, 2.0, 3.0])
+
 
 class TestSerialization:
     def test_round_trip_is_lossless(self):

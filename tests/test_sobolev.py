@@ -21,7 +21,6 @@ from sl_extremal import (
     wminus1_dist,
     wminus1_norm,
 )
-from sl_extremal.potentials import _cut_elements
 
 README_MEASURE = StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0], [(0.5, 10.0)])
 
@@ -275,22 +274,6 @@ def assert_matches_mp(f: StepPotential, rel: float) -> None:
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("f, grid_n", reference_cases())
-    def test_hat_loads(self, f, grid_n):
-        # the oracle's cut-element helper, assembled into the step part's P1 loads
-        grid = np.linspace(0.0, 1.0, grid_n + 1)
-        h = 1.0 / grid_n
-        inner, elem, _, ta, tb, s = _cut_elements(f.breakpoints, f.heights, grid,
-                                                  np.full(grid_n, h))
-        got = np.zeros(grid.size)
-        got[:-1] += 0.5 * h * inner
-        got[1:] += 0.5 * h * inner
-        load_right = s * h * 0.5 * (tb**2 - ta**2)
-        np.add.at(got, elem, s * h * (tb - ta) - load_right)
-        np.add.at(got, elem + 1, load_right)
-        ref = np.array(reference_loads(StepPotential(f.breakpoints, f.heights), grid_n))
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
     @pytest.mark.parametrize("f, grid_n", reference_cases())
     def test_norm(self, f, grid_n):
         exact = wminus1_norm(f)
