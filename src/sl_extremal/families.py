@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import operator
 
 import numpy as np
 
 from .eigensolver import RobinBC, _solve, _theta_end_prepared, lambda1, lambda1_zero
 from .jsonio import to_csv
-from .potentials import StepPotential, _normalized, normalize_gamma, pnorm
+from .potentials import StepPotential, _kappa, _normalized, normalize_gamma, pnorm
 
 __all__ = [
     "SpikeTrainSpec",
@@ -431,6 +432,36 @@ class SearchResult:
         }
 
 
+def _terms(h: list, w: list, gamma: float) -> tuple[list, float] | None:
+    """(u, s) with u_i = h_i^gamma - 1 and s = sum_i w_i u_i, which is the
+    integral of h^gamma less 1; None if a height is 0 or h_i^gamma overflows."""
+    try:
+        u = [math.expm1(gamma * math.log(x)) for x in h]
+    except (ValueError, OverflowError):
+        return None
+    return u, math.fsum(map(operator.mul, w, u))
+
+
+def _rescaled(h: list, w: list, terms, cell: int, hc: float, gamma: float) -> list | None:
+    """h with h[cell] = hc renormalised from ``terms = _terms(h, w, gamma)``,
+    or None where ``_normalized`` must decide (see ``search_extremum``)."""
+    if terms is None or not 0.0 < hc < math.inf:
+        return None
+    u, s = terms
+    try:
+        s += w[cell] * (math.expm1(gamma * math.log(hc)) - u[cell])
+    except OverflowError:
+        return None
+    if abs(s) > 0.5:
+        return None
+    # the norm is monotone and 1-homogeneous, so kappa of a proposal from A_gamma
+    # lies between 1 and hc / h_c, a finite and positive float
+    kappa = _kappa(s, gamma)
+    cand = [x / kappa for x in h]
+    cand[cell] = hc / kappa
+    return cand
+
+
 @np.errstate(over="ignore")  # an overflowing proposal is rejected, not warned about
 def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     """Empirical probe of the extremal eigenvalue over A_gamma.
@@ -442,9 +473,14 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     improving side is solved, from a bracket with ``best`` at one end (whose
     theta is the one just computed), and it is accepted only if the solved
     eigenvalue is strictly better than ``best``, which rounding of a root
-    within 1e-13 of ``best`` can undo.  A proposal is a height array on the
-    fixed cells: it costs one normalization and one walk, and it is rejected
-    if the normalization fails or a height overflows.  The trace therefore
+    within 1e-13 of ``best`` can undo.  A proposal scales one height of the
+    incumbent, kept as floats with its terms h_i^gamma - 1, updates S - 1 =
+    int h^gamma - 1 by one term and divides by kappa = exp(log1p(S - 1)/gamma),
+    the first branch of ``_pnorm``: about 1.2 us on 8 cells, against 11 us
+    through ``_normalized``, which takes a scaled height that is not finite
+    and positive, a zero height in the incumbent, an overflowing math call,
+    or |S - 1| > 1/2.  A proposal is rejected if the normalization fails or
+    a height overflows, and otherwise costs one walk.  The trace therefore
     holds only theta-confirmed improvements and is strictly monotone;
     ``evaluations`` counts the proposals evaluated.
     """
@@ -463,31 +499,34 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     step = spec.step_init
     rejects = 0
     k = spec.cells
-    h, widths = q.heights, q.widths
+    gamma, widths = spec.gamma, q.widths
+    h, w = q.heights.tolist(), widths.tolist()
     bps = q.breakpoints.tolist()
-    grid = list(zip(bps[1:], np.diff(bps).tolist()))  # (right, length) per cell
+    grid = list(zip(bps[1:], w))  # (right, length) per cell
+    terms = _terms(h, w, gamma)
 
     for it in range(1, spec.max_iters + 1):
         cell = (it - 1) // 2 % k
         up = (it - 1) % 2 == 0
         factor = 1.0 + step if up else 1.0 / (1.0 + step)
-        heights = h.copy()
-        heights[cell] *= factor
-        try:
-            if heights[cell] == math.inf:
-                raise ValueError("height overflows")
-            cand, _ = _normalized(heights, widths, spec.gamma)
-            top = cand.max()
-            if top == math.inf:
-                raise ValueError("height overflows")  # h / kappa with kappa < 1
-        except ValueError:
+        hc = h[cell] * factor
+        cand = _rescaled(h, w, terms, cell, hc, gamma)
+        if cand is None and hc < math.inf:  # the array path decides the rest
+            heights = np.array(h)
+            heights[cell] = hc
+            try:
+                cand = _normalized(heights, widths, gamma)[0].tolist()
+            except ValueError:
+                pass
+        top = math.inf if cand is None else max(cand)
+        if top == math.inf:  # hc or h / kappa overflows, or the normalisation failed
             rejects += 1
             continue
         if top > spec.height_cap:
             rejects += 1
         else:
             evaluations += 1
-            cells = [(r, length, c, 0.0) for (r, length), c in zip(grid, cand.tolist())]
+            cells = [(r, length, c, 0.0) for (r, length), c in zip(grid, cand)]
             # the side of the target theta(1; best_lam) falls on decides the move
             lam = best_lam
             f_best = _theta_end_prepared(cells, bc.k0sq, best_lam) - target
@@ -497,7 +536,7 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
                 f_lo, f_hi = (f_best, None) if sign > 0 else (None, f_best)
                 lam = _solve(cells, bc.k0sq, target, lo, hi, f_lo, f_hi).lambda1
             if sign * (lam - best_lam) > 0.0:
-                h = cand
+                h, terms = cand, _terms(cand, w, gamma)
                 best_lam = lam
                 trace.append((it, best_lam))
                 rejects = 0

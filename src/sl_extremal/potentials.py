@@ -217,7 +217,7 @@ def _pnorm(h: np.ndarray, w: np.ndarray, p: float) -> float:
         # S - 1 with S = integral of h^p; exact -sum(w) contribution from zero cells.
         s_minus_1 = float(np.dot(wp, np.expm1(x)) - w[~positive].sum())
         if abs(s_minus_1) <= 0.5:
-            return float(math.exp(math.log1p(s_minus_1) / p))
+            return _kappa(s_minus_1, p)
         if not wp.size:
             return 0.0  # every cell vanishes, which only p > 0 allows
         # S - 1 is -1 to rounding once S < 2^-53, so S itself is summed here
@@ -228,6 +228,11 @@ def _pnorm(h: np.ndarray, w: np.ndarray, p: float) -> float:
             top = float(x.max())
             log_s = top + float(np.log(np.dot(wp, np.exp(x - top))))
     return float(math.exp(log_s / p))
+
+
+def _kappa(s_minus_1: float, p: float) -> float:
+    """The norm S^(1/p) from S - 1 = s_minus_1, for |S - 1| <= 1/2."""
+    return math.exp(math.log1p(s_minus_1) / p)
 
 
 def normalize_gamma(f, gamma: float) -> tuple[StepPotential, float]:

@@ -288,6 +288,21 @@ class TestSearch:
         _, second, _ = run_cli(capsys, *self.ARGS)
         assert first == second
 
+    # exponents and a step at the ends of the float range, where some
+    # proposals overflow: each run completes on the trajectory pinned here
+    @pytest.mark.parametrize("extra, evaluations, entries, best", [
+        (("--gamma", "1e-300"), 51, 3, 0.7128977352550226),
+        (("--gamma", "1e300"), 51, 26, 1.4755516677005696),
+        (("--gamma", "2", "--step-init", "1e308"), 50, 2, 1.2255179733198858),
+    ])
+    def test_extreme_exponents_and_steps(self, capsys, extra, evaluations, entries, best):
+        code, out, err = run_cli(capsys, "search", "--mode", "max", *extra, "--k0sq", "1",
+                                 "--k1sq", "1", "--cells", "4", "--max-iters", "50")
+        assert code == 0 and err == ""
+        payload = check_schema(out)
+        assert payload["evaluations"] == evaluations and len(payload["trace"]) == entries
+        assert payload["best_lambda"] == pytest.approx(best, rel=1e-15, abs=0.0)
+
 
 class TestRepeatedCalls:
     """Every main call in a process parses with the same parser, so no call

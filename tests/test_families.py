@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+import itertools
 import math
 import warnings
 
@@ -27,6 +29,7 @@ from sl_extremal import (
     verify_thm2,
 )
 from sl_extremal import eigensolver, families
+from sl_extremal.potentials import _normalized
 from sl_extremal.families import CSV_HEADER, statement2_budget
 
 from conftest import random_positive_step
@@ -354,24 +357,29 @@ class TestSearchExtremum:
         assert res.best_lambda == pytest.approx(lambda1(res.best_q, bc).lambda1, rel=1e-12)
 
     def test_readme_search_theta_evaluations(self, monkeypatch):
-        calls = 0
-        original = eigensolver._theta_end_prepared
+        calls = Counter()
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
 
         # the move decisions call it by the name families imported, the
         # solves through eigensolver; setattr fails if either name is gone
-        monkeypatch.setattr(eigensolver, "_theta_end_prepared", counted)
-        monkeypatch.setattr(families, "_theta_end_prepared", counted)
+        theta = counted("theta", eigensolver._theta_end_prepared)
+        monkeypatch.setattr(eigensolver, "_theta_end_prepared", theta)
+        monkeypatch.setattr(families, "_theta_end_prepared", theta)
+        monkeypatch.setattr(families, "_normalized", counted("array", families._normalized))
         spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500)
         res = search_extremum(spec, BC11)
         assert res.evaluations == 501
         # a rejected proposal costs one theta-evaluation, and a solve starts
         # from the one its decision computed at best_lambda
-        assert calls <= 1462
+        assert calls["theta"] <= 1462
+        # a proposal is renormalised on floats unless |S - 1| > 1/2, which
+        # here is 52 of 500: a cell near the top height 2.8 doubled or halved
+        assert calls["array"] <= 52
 
     # the trajectories of a max-mode search (the README's) and of a capped
     # min-mode search from a seeded start: any change to the order or the
@@ -407,21 +415,84 @@ class TestSearchExtremum:
         assert [i for i, _ in res.trace] == [0, 3]
         assert [v for _, v in res.trace] == pytest.approx([0.9249038250087442, 1.1361025828171225],
                                                           rel=1e-15, abs=0.0)
-        # an overflow in h / kappa or a failed normalization is rejected too
-        real = families._normalized
+        # an overflow in h / kappa or a failed normalization is rejected too:
+        # a down move is renormalised on floats, where a kappa of 5e-324
+        # overflows every height, and an up move (|S - 1| = 3/4 > 1/2) by
+        # _normalized, made to fail
+        def failing(h, w, gamma):
+            raise ZeroPotential("gamma-norm is 0.0; cannot normalize")
 
-        def overflowing(h, w, gamma):
-            heights, kappa = real(h, w, gamma)
-            if h.max() > 1.0:
-                raise ZeroPotential("gamma-norm is 0.0; cannot normalize")
-            return heights / 0.0, kappa
-
-        monkeypatch.setattr(families, "_normalized", overflowing)
-        with np.errstate(divide="ignore"):
-            res = search_extremum(ExtremumSearchSpec(gamma=2.0, mode="max", cells=4,
-                                                     max_iters=20), BC11)
+        monkeypatch.setattr(families, "_kappa", lambda s, p: 5e-324)
+        monkeypatch.setattr(families, "_normalized", failing)
+        res = search_extremum(ExtremumSearchSpec(gamma=2.0, mode="max", cells=4,
+                                                 max_iters=20), BC11)
         assert res.evaluations == 1 and len(res.trace) == 1
         assert np.array_equal(res.best_q.heights, np.ones(4))
+
+    @staticmethod
+    def _array_verdict(h, w, cell, hc, gamma):
+        """The search's array path: (heights, kappa), or None for a rejection."""
+        if hc == math.inf:
+            return None
+        heights = np.array(h)
+        heights[cell] = hc
+        try:
+            cand, kappa = _normalized(heights, np.array(w), gamma)
+        except ValueError:
+            return None
+        return None if cand.max() == math.inf else (cand.tolist(), kappa)
+
+    @staticmethod
+    def _fallback_reason(w, terms, cell, hc, gamma):
+        if hc == math.inf:
+            return "hc not finite"
+        if hc <= 0.0:
+            return "hc not positive"
+        if terms is None:
+            return "incumbent terms"
+        u, s = terms
+        try:
+            s += w[cell] * (math.expm1(gamma * math.log(hc)) - u[cell])
+        except OverflowError:
+            return "overflow"
+        assert abs(s) > 0.5
+        return "|S - 1| > 1/2"
+
+    def test_scalar_renormalisation_matches_the_array_path(self):
+        # incumbents on A_gamma as the search keeps them, and every factor of
+        # the default step schedule plus an overflowing step of 1e308
+        steps = [2.0 ** -i for i in range(11)] + [1e308]
+        factors = [f for step in steps for f in (1.0 + step, 1.0 / (1.0 + step))]
+        rng = np.random.default_rng(11)
+        incumbents = [([1e-300, math.sqrt(2.0)], [0.5, 0.5], 2.0)]  # hc underflows to 0
+        for k in range(2, 17):
+            w = np.diff(np.linspace(0.0, 1.0, k + 1))
+            for gamma in (-3.0, -1.0, 1e-300, 0.25, 0.5, 2.0, 7.0, 1e300):
+                h, _ = _normalized(10.0 ** rng.uniform(-3.0, 3.0, size=k), w, gamma)
+                incumbents.append((h.tolist(), w.tolist(), gamma))
+        reasons = Counter()
+        with np.errstate(over="ignore"):  # as in search_extremum
+            for h, w, gamma in incumbents:
+                terms = families._terms(h, w, gamma)
+                for cell, f in itertools.product(range(len(h)), factors):
+                    hc = h[cell] * f
+                    cand = families._rescaled(h, w, terms, cell, hc, gamma)
+                    if cand is None:  # the search asks _normalized itself
+                        reasons[self._fallback_reason(w, terms, cell, hc, gamma)] += 1
+                        continue
+                    reasons["scalar"] += 1
+                    ref = self._array_verdict(h, w, cell, hc, gamma)
+                    assert (ref is None) == (max(cand) == math.inf), (h, gamma, cell, f)
+                    if ref is None:
+                        continue
+                    # the two sums of h^gamma - 1 round differently, and exp
+                    # scales that by |ln kappa|; a subnormal height keeps one ulp
+                    heights, kappa = ref
+                    tol = 1e-15 * (1.0 + abs(math.log(kappa)))
+                    assert all(math.isclose(a, b, rel_tol=tol, abs_tol=5e-324)
+                               for a, b in zip(cand, heights)), (h, gamma, cell, f)
+        assert reasons.keys() >= {"scalar", "hc not finite", "hc not positive", "overflow",
+                                  "|S - 1| > 1/2"}
 
     @pytest.mark.parametrize("gamma, mode, evaluations", [(2.0, "max", 39), (-1.0, "min", 21)])
     def test_overflowing_proposal_emits_no_warning(self, gamma, mode, evaluations):
