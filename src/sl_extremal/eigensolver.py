@@ -21,7 +21,7 @@ w * delta(x - site) subtracts w y from y'.  A power-of-two rescale keeps
 theta(1; lambda) is thus exact up to rounding for every step + delta
 potential, and lambda_1 is found by bracket doubling plus Illinois regula
 falsi, which keeps a sign-change bracket.  The eigenfunction sampler runs the
-same walk from sample to sample.
+same walk over the cells cut at the samples too.
 
 The independent cross-check ``lambda1_fd`` discretizes the quadratic form by
 P1 finite elements on a mesh fitted to the breakpoints and mass sites and on
@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .potentials import StepPotential, _cell_values
+from .potentials import StepPotential, _cell_values, _cells
 
 __all__ = [
     "RobinBC",
@@ -98,14 +98,14 @@ class EigenResult:
     iterations: int
     eigenfunction_samples: tuple[tuple[float, float], ...] | None = field(default=None)
 
-    def to_dict(self, include_samples: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "lambda1": float(self.lambda1),
             "residual": float(self.residual),
             "bracket": [float(self.bracket[0]), float(self.bracket[1])],
             "iterations": int(self.iterations),
         }
-        if include_samples and self.eigenfunction_samples is not None:
+        if self.eigenfunction_samples is not None:
             out["eigenfunction_samples"] = [
                 [float(x), float(y)] for x, y in self.eigenfunction_samples
             ]
@@ -119,30 +119,18 @@ _HUGE = 2.0**500
 _TINY = 2.0**-500
 
 
-def _segments(q: StepPotential) -> tuple[list[tuple[float, float, float, float]], float]:
-    """Split [0,1] at step breakpoints and delta sites.
-
-    Returns (cells, w0): cells lists (right, length, height, w) in order, where
-    w is the point mass at the cell's right end (0.0 if none), and w0 is the
-    point mass at x = 0.
-    """
-    bps = q.breakpoints.tolist()
-    heights = q.heights.tolist()
-    masses = dict(q.deltas)  # sites are distinct
-    grid = sorted(set(bps) | set(masses))
-    cells = []
-    i = 0  # the step cell [bps[i], bps[i + 1]) that holds [a, b]
-    for a, b in zip(grid[:-1], grid[1:]):
-        while bps[i + 1] <= a:
-            i += 1
-        cells.append((b, b - a, heights[i], masses.get(b, 0.0)))
-    return cells, masses.get(0.0, 0.0)
+def _segments(q: StepPotential) -> tuple[list[tuple[float, float, float]], float]:
+    """(cells, w0): ``_walk``'s (length, height, w) per cell of ``_cells(q)``,
+    w the point mass at the cell's right end, and w0 the point mass at x = 0."""
+    x, s, w = _cells(q)
+    return list(zip(np.diff(x).tolist(), s.tolist(), w[1:].tolist())), float(w[0])
 
 
 def _walk(cells, lam, j, y, dy, e):
     """Carry the shooting state (j, y, dy, e) across ``cells`` at ``lam``.
 
-    The state stands for the solution (-1)^j 2^e (y, y') up to a positive
+    Each cell is (L, height, w), w the point mass at its right end.  The
+    state stands for the solution (-1)^j 2^e (y, y') up to a positive
     factor, with y >= 0, so the Prufer angle is j*pi + atan2(y, dy).  On a
     cell of length L where c = lam + q is constant with sqrt(c) * L > 1,
     the scaled angle atan2(sqrt(c) y, y') advances by exactly sqrt(c) * L at
@@ -156,7 +144,7 @@ def _walk(cells, lam, j, y, dy, e):
     [2^-500, 2^500]; a state that rounds to (0, 0) stays there.
     """
     sqrt, tan, tanh = math.sqrt, math.tan, math.tanh
-    for _, length, height, w in cells:
+    for length, height, w in cells:
         c = lam + height
         kl = sqrt(abs(c)) * length
         if c > 0.0 and kl > 1.0:
@@ -210,22 +198,16 @@ def theta_end(q, bc: RobinBC, lam: float) -> float:
 
 # --- eigenvalue via a bracketed Illinois iteration -------------------------
 
-def lambda1(
-    q,
-    bc: RobinBC,
-    *,
-    eigenfunction_samples: int | None = None,
-    bracket_hint: tuple[float, float] | None = None,
-) -> EigenResult:
+def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> EigenResult:
     """First eigenvalue of the problem, found by shooting.
 
     theta(1; lambda) is strictly increasing in lambda, so the equation
     theta(1; lambda) = pi - arccot(k1^2) has exactly one solution.  It is
-    enclosed by doubling the bracket outward from [-1, 1] (or from
-    ``bracket_hint``) and then located by Illinois regula falsi, which keeps
-    theta(1; lo) < target <= theta(1; hi) at every step, falls back to
-    bisection whenever two steps fail to halve the bracket, and stops once
-    the bracket is at most 1e-13 * max(1, |lo|, |hi|) wide.  There is no
+    enclosed by doubling the bracket outward from [-1, 1] and then located
+    by Illinois regula falsi, which keeps theta(1; lo) < target <=
+    theta(1; hi) at every step, falls back to bisection whenever two steps
+    fail to halve the bracket, and stops once the bracket is at most
+    1e-13 * max(1, |lo|, |hi|) wide.  There is no
     residual condition: theta is exact, so the residual
     |theta(1; lambda) - target| is rounding noise that a stiff potential can
     keep above any fixed tolerance.  The returned eigenvalue is the bracket
@@ -234,17 +216,11 @@ def lambda1(
     """
     cells, w0 = _segments(q)
     dy0 = bc.k0sq - w0
-    if bracket_hint is not None:
-        lo, hi = float(bracket_hint[0]), float(bracket_hint[1])
-        if not lo < hi:
-            raise ValueError("bracket_hint must satisfy lo < hi")
-    else:
-        lo, hi = -1.0, 1.0
-    res = _solve(cells, dy0, bc.theta_target, lo, hi)
+    res = _solve(cells, dy0, bc.theta_target, -1.0, 1.0)
     if eigenfunction_samples is None:
         return res
     return replace(res, eigenfunction_samples=_eigenfunction(
-        cells, dy0, res.lambda1, eigenfunction_samples))
+        q, dy0, res.lambda1, eigenfunction_samples))
 
 
 def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
@@ -323,13 +299,14 @@ def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
                        iterations=iterations)
 
 
-def _eigenfunction(cells, dy0, lam, n_samples):
-    """Sample y on the uniform grid j/n_samples at the eigenvalue ``lam``.
+def _eigenfunction(q, dy0, lam, n_samples):
+    """Sample y on the uniform grid j/n_samples at the eigenvalue ``lam``,
+    from (y, y') = (1, dy0) at x = 0 (dy0 holds any mass at 0).
 
-    ``_walk`` carries the state from sample to sample; each piece adds back
-    the log of the cos(kl) or cosh(kl) that the map of a cell with
-    sqrt(c) * L <= 1 divides out, so all samples share one scale.  The
-    arrays are allocated first, so an n_samples beyond memory fails at once.
+    ``_walk`` carries the state one cell of ``_cells(q, samples)`` at a time;
+    each cell adds back the log of the cos(kl) or cosh(kl) that the map of a
+    cell with sqrt(c) * L <= 1 divides out, so all samples share one scale.
+    The arrays are allocated first, so an n_samples beyond memory fails at once.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 sample intervals")
@@ -337,26 +314,23 @@ def _eigenfunction(cells, dy0, lam, n_samples):
     ys = np.empty(n + 1)
     logs = np.empty(n + 1)
     ys[0], logs[0] = 1.0, 0.0
+    x, s, w = (a.tolist() for a in _cells(q, np.arange(n + 1) / n))
     state = (0, 1.0, dy0, 0)
     log_scale = 0.0
-    x = 0.0
     i = 1
-    for right, _, height, w in cells:
+    for a, b, height, wb in zip(x[:-1], x[1:], s, w[1:]):
         c = lam + height
-        while x < right:
-            xs = min(i / n, right)
-            kl = math.sqrt(abs(c)) * (xs - x)
-            if c < 0.0:
-                log_scale += kl + math.log1p(math.exp(-2.0 * kl)) - _LN2  # log cosh
-            elif kl <= 1.0:
-                log_scale += math.log(math.cos(kl))
-            state = _walk(((xs, xs - x, height, w if xs == right else 0.0),), lam, *state)
-            x = xs
-            if i <= n and xs == i / n:
-                j, y, _, e = state
-                ys[i] = -y if j % 2 else y
-                logs[i] = log_scale + e * _LN2
-                i += 1
+        kl = math.sqrt(abs(c)) * (b - a)
+        if c < 0.0:
+            log_scale += kl + math.log1p(math.exp(-2.0 * kl)) - _LN2  # log cosh
+        elif kl <= 1.0:
+            log_scale += math.log(math.cos(kl))
+        state = _walk(((b - a, height, wb),), lam, *state)
+        if b == i / n:
+            j, y, _, e = state
+            ys[i] = -y if j % 2 else y
+            logs[i] = log_scale + e * _LN2
+            i += 1
 
     with np.errstate(divide="ignore"):  # a zero sample has log -inf
         log_abs = np.log(np.abs(ys)) + logs
@@ -420,7 +394,7 @@ def _fitted(q, bc: RobinBC, n_nodes: int) -> "_P1":
     element around it, read at the midpoint, and its mass the nearest node)."""
     uniform = np.linspace(0.0, 1.0, (int(n_nodes) + 1) // 2)
     h = uniform[1]
-    fixed = np.union1d(q.breakpoints, [d.site for d in q.deltas])
+    fixed = _cells(q)[0]
     near = np.rint(fixed / h).astype(int)  # the only uniform node within h/2
     keep = np.ones(uniform.size, dtype=bool)
     keep[near[np.abs(fixed - uniform[near]) <= 0.25 * h]] = False
@@ -429,7 +403,10 @@ def _fitted(q, bc: RobinBC, n_nodes: int) -> "_P1":
         if x - kept[-1] > 2.0**-27 * h and 1.0 - x > 2.0**-27 * h:
             kept.append(x)
     x = np.sort(np.concatenate((uniform[keep], kept, [1.0])), kind="stable")
-    return _P1(bc, x, _cell_values(q.breakpoints, q.heights, 0.5 * (x[:-1] + x[1:])), q.deltas)
+    wn = np.zeros(x.size)
+    for site, w in q.deltas:
+        wn[np.argmin(np.abs(x - site))] += w
+    return _P1(bc, x, _cell_values(q.breakpoints, q.heights, 0.5 * (x[:-1] + x[1:])), wn)
 
 
 def _bisect(v: np.ndarray) -> np.ndarray:
@@ -441,14 +418,11 @@ def _bisect(v: np.ndarray) -> np.ndarray:
 
 
 class _P1:
-    """The P1 space on the nodes x with one height s per element and each of
-    the point masses ``deltas`` on its nearest node: K and M, tridiagonal."""
+    """The P1 space on the nodes x with one height s per element and the
+    point mass wn[i] on node i: K and M, tridiagonal."""
 
-    def __init__(self, bc: RobinBC, x: np.ndarray, s: np.ndarray, deltas):
-        self.bc, self.x, self.s, self.h = bc, x, s, np.diff(x)
-        self.wn = np.zeros(x.size)
-        for site, w in deltas:
-            self.wn[np.argmin(np.abs(x - site))] += w
+    def __init__(self, bc: RobinBC, x: np.ndarray, s: np.ndarray, wn: np.ndarray):
+        self.bc, self.x, self.s, self.h, self.wn = bc, x, s, np.diff(x), wn
         with np.errstate(over="ignore"):  # a grid of ``rayleigh`` may hold subnormal widths
             g, sh, hm = 1.0 / self.h, s * self.h, self.h / 3.0
         a, self.ke, self.me = g - sh / 3.0, -g - sh / 6.0, 0.5 * hm
@@ -549,7 +523,9 @@ def _p1_brackets(q, bc: RobinBC, n_nodes: int) -> list[tuple[float, float]]:
         else:
             lo, factors, pd = t, f_t, [pd[-1], (t, f_t[0])]
     v, a = p1.inverse_iteration(lo, factors, np.ones(p1.x.size))
-    fine = _P1(bc, _bisect(p1.x), np.repeat(p1.s, 2), q.deltas)  # holds the coarse space
+    wn = np.zeros(2 * p1.x.size - 1)
+    wn[::2] = p1.wn
+    fine = _P1(bc, _bisect(p1.x), np.repeat(p1.s, 2), wn)  # holds the coarse space
     sigma, factors, _ = fine.definite_below(a, 1e-4 * max(1.0, abs(a)))
     return [(lo, a), (sigma, fine.inverse_iteration(sigma, factors, _bisect(v))[1])]
 
@@ -559,8 +535,7 @@ def _p1_brackets(q, bc: RobinBC, n_nodes: int) -> list[tuple[float, float]]:
 def rayleigh(q, bc: RobinBC, y_samples) -> float:
     """Rayleigh quotient of the piecewise-linear interpolant of ``y_samples``,
     (x, y) pairs on a grid covering [0,1]: an upper bound for lambda_1, exact
-    up to rounding (``_P1.rayleigh`` on the grid refined by the breakpoints
-    and mass sites)."""
+    up to rounding (``_P1.rayleigh`` on the cells of q cut at the samples)."""
     arr = np.asarray(y_samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("y_samples must be a sequence of (x, y) pairs")
@@ -573,6 +548,5 @@ def rayleigh(q, bc: RobinBC, y_samples) -> float:
         raise ValueError("sample abscissae must be distinct")
     if not ys.any():
         raise ZeroFunction("trial function is identically zero")
-    pts = np.union1d(xs, np.r_[q.breakpoints, [d.site for d in q.deltas]])
-    s = _cell_values(q.breakpoints, q.heights, pts[:-1])  # cells are half-open to the right
-    return _P1(bc, pts, s, q.deltas).rayleigh(np.interp(pts, xs, ys))
+    x, s, w = _cells(q, xs)
+    return _P1(bc, x, s, w).rayleigh(np.interp(x, xs, ys))

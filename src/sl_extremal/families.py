@@ -501,8 +501,6 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     k = spec.cells
     gamma, widths = spec.gamma, q.widths
     h, w = q.heights.tolist(), widths.tolist()
-    bps = q.breakpoints.tolist()
-    grid = list(zip(bps[1:], w))  # (right, length) per cell
     terms = _terms(h, w, gamma)
 
     for it in range(1, spec.max_iters + 1):
@@ -519,14 +517,12 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
             except ValueError:
                 pass
         top = math.inf if cand is None else max(cand)
-        if top == math.inf:  # hc or h / kappa overflows, or the normalisation failed
-            rejects += 1
-            continue
-        if top > spec.height_cap:
+        # top is inf where hc or h / kappa overflows, or the normalisation failed
+        if top == math.inf or top > spec.height_cap:
             rejects += 1
         else:
             evaluations += 1
-            cells = [(r, length, c, 0.0) for (r, length), c in zip(grid, cand)]
+            cells = [(length, c, 0.0) for length, c in zip(w, cand)]
             # the side of the target theta(1; best_lam) falls on decides the move
             lam = best_lam
             f_best = _theta_end_prepared(cells, bc.k0sq, best_lam) - target

@@ -65,8 +65,6 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

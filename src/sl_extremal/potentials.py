@@ -5,7 +5,8 @@ weights may have either sign, so the same type also holds differences of
 potentials; the norm routines accept only members of the admissible class,
 q >= 0 without masses.  Every integral used by the norm and normalization
 routines is a closed-form sum over cells -- there is no quadrature error
-anywhere in this module.
+anywhere in this module.  Every solver works on one decomposition of a
+potential, ``_cells``: cells of one height, with each mass on a node.
 """
 
 from __future__ import annotations
@@ -60,6 +61,22 @@ def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
     first or last cell.
     """
     return heights[np.searchsorted(breakpoints[1:-1], x, side="right")]
+
+
+def _cells(q: StepPotential, nodes=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell decomposition of q: (x, s, w) with nodes x = breakpoints,
+    mass sites and ``nodes`` in increasing order, s[i] the height on
+    [x_i, x_{i+1}) read at its left end (the midpoint of a one-ulp cell rounds
+    to its right end) and w[i] the point mass at x_i.  Without masses or
+    extra nodes it returns q's own arrays, with no sort or search."""
+    bp = q.breakpoints
+    if not q.deltas and not len(nodes):
+        return bp, q.heights, np.zeros(bp.size)
+    sites, weights = np.array(q.deltas).reshape(-1, 2).T
+    x = np.union1d(bp, np.concatenate((sites, nodes)))
+    w = np.zeros(x.size)
+    w[np.searchsorted(x, sites)] = weights
+    return x, _cell_values(bp, q.heights, x[:-1]), w
 
 
 class DeltaComponent(NamedTuple):

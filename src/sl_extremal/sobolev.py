@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .potentials import StepPotential
+from .potentials import StepPotential, _cells
 
 __all__ = ["wminus1_norm", "wminus1_dist"]
 
@@ -40,17 +40,8 @@ def wminus1_norm(f: StepPotential, grid_n: int | None = None) -> float:
     beyond the float range raises ValueError.  ``grid_n`` is ignored; it is
     kept for callers that still pass one.
     """
-    x, s = f.breakpoints, f.heights
-    sites, weights = np.array(f.deltas).reshape(-1, 2).T
-    if f.deltas:  # a mass inside a cell splits it
-        j = np.searchsorted(x, sites)  # x[j - 1] < site <= x[j]
-        new = x[j] != sites
-        s = np.insert(s, j[new] - 1, s[j[new] - 1])
-        x = np.insert(x, j[new], sites[new])
-    w = np.zeros(x.size)
-    w[np.searchsorted(x, sites)] = weights
-
-    top = max(float(np.abs(s).max()), float(np.abs(weights).max(initial=0.0)))
+    x, s, w = _cells(f)
+    top = max(float(np.abs(s).max()), float(np.abs(w).max()))
     k = math.frexp(top)[1]
     s = np.ldexp(s, -k)
     w = np.ldexp(w, -k)

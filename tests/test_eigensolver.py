@@ -248,15 +248,6 @@ class TestLambda1:
         res = lambda1(StepPotential.constant(height), BC00)
         assert res.lambda1 == pytest.approx(-height, rel=1e-13, abs=0.0)
 
-    def test_bracket_hint_converges_to_same_value(self):
-        q = StepPotential.from_uniform_cells([3.0, 0.5, 7.0, 1.0])
-        plain = lambda1(q, BC11).lambda1
-        hinted = lambda1(q, BC11, bracket_hint=(plain - 0.5, plain + 0.5)).lambda1
-        assert hinted == pytest.approx(plain, abs=1e-11)
-        # a hint that misses the eigenvalue must recover by expansion
-        far = lambda1(q, BC11, bracket_hint=(50.0, 51.0)).lambda1
-        assert far == pytest.approx(plain, abs=1e-9)
-
     def test_result_serialization(self):
         res = lambda1(StepPotential.constant(2.0), BC11, eigenfunction_samples=16)
         data = res.to_dict()
@@ -264,7 +255,6 @@ class TestLambda1:
             "lambda1", "residual", "bracket", "iterations", "eigenfunction_samples"
         }
         assert len(data["eigenfunction_samples"]) == 17
-        assert res.to_dict(include_samples=False).get("eigenfunction_samples") is None
 
 
 class TestExactPropagation:
@@ -460,6 +450,27 @@ class TestEigenfunction:
         slopes = np.diff(ys) / np.diff(xs)
         kink = np.argmax(np.abs(np.diff(slopes)))
         assert abs(xs[kink + 1] - 0.5) < 0.01
+
+    def test_a_mass_on_a_sample_is_applied_once(self):
+        # pinned samples; by symmetry y = cosh(omega x) / cosh(omega / 2) for
+        # x <= 1/2 with omega tanh(omega / 2) = 3 / 2, lambda = -omega^2
+        res = lambda1(Potential.pure_delta(0.5, 3.0), BC00, eigenfunction_samples=8)
+        ys = [y for _, y in res.eigenfunction_samples]
+        assert ys == pytest.approx([
+            0.6529062846063168, 0.6730131802935644, 0.7345722908893112, 0.8413751639541532,
+            1.0, 0.8413751639541548, 0.7345722908893143, 0.673013180293569, 0.6529062846063235,
+        ], rel=1e-14, abs=0.0)
+        omega = math.sqrt(-res.lambda1)
+        assert omega * math.tanh(0.5 * omega) == pytest.approx(1.5, rel=1e-13)
+        half = [math.cosh(omega * j / 8) / math.cosh(0.5 * omega) for j in range(5)]
+        assert ys == pytest.approx(half + half[-2::-1], rel=1e-13, abs=0.0)
+        # masses on breakpoints, one of them also a sample
+        q = StepPotential([0.0, 0.3, 0.75, 1.0], [2.0, -1.0, 5.0], [(0.3, 1.5), (0.75, -2.0)])
+        res = lambda1(q, BC11, eigenfunction_samples=8)
+        assert [y for _, y in res.eigenfunction_samples] == pytest.approx([
+            0.8455751883363769, 0.9374733954407369, 1.0, 0.9253835862364801, 0.7850459030041693,
+            0.656862450587341, 0.5388486682597529, 0.5387807583539354, 0.4968073830390639,
+        ], rel=1e-14, abs=0.0)
 
 
 class TestFiniteElementOracle:

@@ -30,7 +30,7 @@ from sl_extremal import (
 )
 from sl_extremal import eigensolver, families
 from sl_extremal.potentials import _normalized
-from sl_extremal.families import CSV_HEADER, statement2_budget
+from sl_extremal.families import CSV_HEADER, _rescaled, statement2_budget
 
 from conftest import random_positive_step
 
@@ -428,6 +428,28 @@ class TestSearchExtremum:
                                                  max_iters=20), BC11)
         assert res.evaluations == 1 and len(res.trace) == 1
         assert np.array_equal(res.best_q.heights, np.ones(4))
+
+    def test_a_failed_normalisation_counts_toward_the_step_shrink(self, monkeypatch):
+        # K = 2 from q = 1: every move tops 1.26 after renormalisation, so a cap
+        # of 1.1 rejects proposals 1-3, and proposal 4 fails to normalise.  That
+        # is the 2K-th rejection in a row, so proposal 5 already has step 1/2.
+        hcs = []
+
+        def rescaled(h, w, terms, cell, hc, gamma):
+            hcs.append(hc)
+            return None if len(hcs) == 4 else _rescaled(h, w, terms, cell, hc, gamma)
+
+        def normalized(h, w, gamma):
+            if len(hcs) == 4:
+                raise ZeroPotential("gamma-norm is 0.0; cannot normalize")
+            return _normalized(h, w, gamma)
+
+        monkeypatch.setattr(families, "_rescaled", rescaled)
+        monkeypatch.setattr(families, "_normalized", normalized)
+        res = search_extremum(ExtremumSearchSpec(gamma=2.0, mode="max", cells=2, max_iters=6,
+                                                 height_cap=1.1), BC11)
+        assert hcs == [2.0, 0.5, 2.0, 0.5, 1.5, 1.0 / 1.5]
+        assert res.evaluations == 1 and len(res.trace) == 1
 
     @staticmethod
     def _array_verdict(h, w, cell, hc, gamma):

@@ -17,6 +17,7 @@ from sl_extremal import (
     refine_common,
     shift,
 )
+from sl_extremal.potentials import _cells
 
 from conftest import random_positive_step
 
@@ -230,6 +231,64 @@ class TestValueAt:
         q = StepPotential([0.0, 0.5, 1.0], [1.0, 2.0])
         assert q.value_at(-1.0) == 1.0
         assert q.value_at(2.0) == 2.0
+
+
+class TestCells:
+    @staticmethod
+    def _reference(q, nodes):
+        """The decomposition by sets and scans: sorted nodes, the height of
+        the step cell holding each node's right neighbourhood, and the masses
+        summed per node."""
+        bps = q.breakpoints.tolist()
+        x = sorted(set(bps) | {site for site, _ in q.deltas} | set(nodes))
+        s = [q.heights[max(i for i, b in enumerate(bps[:-1]) if b <= a)] for a in x[:-1]]
+        w = [sum(m for site, m in q.deltas if site == a) for a in x]
+        return x, s, w
+
+    @staticmethod
+    def _draw(rng):
+        k = int(rng.integers(1, 8))
+        bps = np.unique(np.r_[0.0, rng.uniform(0.0, 1.0, k - 1), 1.0])
+        special = [0.0, 1.0, *bps[1:-1], *np.nextafter(bps[1:-1], 2.0),
+                   *np.nextafter(bps[1:-1], -1.0), *rng.uniform(0.0, 1.0, 3)]
+        picks = rng.choice(len(special), size=int(rng.integers(0, 5)))
+        q = StepPotential(bps, rng.uniform(-50.0, 50.0, bps.size - 1),
+                          [(special[i], rng.uniform(-10.0, 10.0)) for i in picks])
+        nodes = [*np.arange(int(rng.integers(2, 9)) + 1) / 8,
+                 *[site for site, _ in q.deltas][:1], *bps[1:2]]
+        return q, nodes if rng.random() < 0.7 else []
+
+    def test_matches_the_set_and_scan_reference(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            q, nodes = self._draw(rng)
+            x, s, w = _cells(q, np.array(nodes))
+            ref_x, ref_s, ref_w = self._reference(q, nodes)
+            assert x.tolist() == ref_x
+            assert s.tolist() == ref_s
+            assert w.tolist() == ref_w
+
+    def test_masses_on_breakpoints_ends_and_nodes(self):
+        q = StepPotential([0.0, 0.3, 0.75, 1.0], [2.0, -1.0, 5.0],
+                          [(0.0, 1.0), (0.3, 1.5), (0.5, 4.0), (0.75, -2.0), (1.0, 3.0)])
+        x, s, w = _cells(q, np.arange(5) / 4)
+        assert x.tolist() == [0.0, 0.25, 0.3, 0.5, 0.75, 1.0]
+        assert s.tolist() == [2.0, 2.0, -1.0, -1.0, 5.0]
+        assert w.tolist() == [1.0, 0.0, 1.5, 4.0, -2.0, 3.0]
+
+    def test_one_ulp_from_a_breakpoint(self):
+        up = float(np.nextafter(0.5, 1.0))
+        q = StepPotential([0.0, 0.5, 1.0], [1.0, 2.0], [(up, 7.0)])
+        x, s, w = _cells(q)
+        assert x.tolist() == [0.0, 0.5, up, 1.0]
+        assert s.tolist() == [1.0, 2.0, 2.0]  # the one-ulp cell keeps its height
+        assert w.tolist() == [0.0, 0.0, 7.0, 0.0]
+
+    def test_without_masses_the_arrays_are_q_s_own(self):
+        q = StepPotential([0.0, 0.2, 0.7, 1.0], [3.0, 0.0, 1.0])
+        x, s, w = _cells(q)
+        assert x is q.breakpoints and s is q.heights
+        assert w.tolist() == [0.0] * 4
 
 
 class TestRefineCommon:
