@@ -72,12 +72,7 @@ class TableRow:
         return [self.n_or_rho, self.lambda1, self.reference, self.gap]
 
     def to_dict(self) -> dict:
-        return {
-            "n_or_rho": self.n_or_rho,
-            "lambda1": self.lambda1,
-            "reference": self.reference,
-            "gap": self.gap,
-        }
+        return dict(zip(CSV_HEADER, self.as_list()))
 
 
 @dataclass(frozen=True)
@@ -434,9 +429,10 @@ class SearchResult:
 
 def _terms(h: list, w: list, gamma: float) -> tuple[list, float] | None:
     """(u, s) with u_i = h_i^gamma - 1 and s = sum_i w_i u_i, which is the
-    integral of h^gamma less 1; None if a height is 0 or h_i^gamma overflows."""
+    integral of h^gamma less 1 (u_i = -1 at h_i = 0 for gamma > 0); None if
+    h_i^gamma overflows or is undefined."""
     try:
-        u = [math.expm1(gamma * math.log(x)) for x in h]
+        u = [-1.0 if x == 0.0 < gamma else math.expm1(gamma * math.log(x)) for x in h]
     except (ValueError, OverflowError):
         return None
     return u, math.fsum(map(operator.mul, w, u))
@@ -478,9 +474,9 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     int h^gamma - 1 by one term and divides by kappa = exp(log1p(S - 1)/gamma),
     the first branch of ``_pnorm``: about 1.2 us on 8 cells, against 11 us
     through ``_normalized``, which takes a scaled height that is not finite
-    and positive, a zero height in the incumbent, an overflowing math call,
-    or |S - 1| > 1/2.  A proposal is rejected if the normalization fails or
-    a height overflows, and otherwise costs one walk.  The trace therefore
+    and positive, an overflowing math call, or |S - 1| > 1/2 (a zero height
+    has the term -1, as gamma > 0).  A proposal is rejected if the
+    normalization fails or a height overflows, and otherwise costs one walk.  The trace therefore
     holds only theta-confirmed improvements and is strictly monotone;
     ``evaluations`` counts the proposals evaluated.
     """

@@ -12,6 +12,7 @@ potential, ``_cells``: cells of one height, with each mass on a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 from typing import NamedTuple
 
@@ -55,28 +56,37 @@ def _as_float_array(values, name: str) -> np.ndarray:
 
 
 def _cell_values(breakpoints: np.ndarray, heights: np.ndarray, x):
-    """Values at x of the step function with these breakpoints and heights.
-
-    Cells are taken half-open to the right; x outside [0, 1) falls into the
-    first or last cell.
-    """
+    """Values at x of the step function (breakpoints, heights), its cells
+    half-open to the right; x outside [0, 1) takes the first or last cell."""
     return heights[np.searchsorted(breakpoints[1:-1], x, side="right")]
+
+
+def _refine(bp: np.ndarray, h: np.ndarray, extra) -> tuple[np.ndarray, np.ndarray]:
+    """(x, s): the nodes bp and ``extra`` in increasing order without repeats,
+    and s[i] the height of (bp, h) on [x_i, x_{i+1}).  A timsort merge: O(n + m)
+    for sorted nodes, plus O(n log(n + m)) to place bp if some node is new."""
+    x = np.sort(np.concatenate((bp, np.sort(extra, kind="stable"))), kind="stable")
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
+    if x.size == bp.size:  # no new node
+        return bp, h
+    at = np.searchsorted(x, bp)  # bp[i] is node at[i]
+    at[[0, -1]] = 0, x.size - 1  # nodes beyond [0, 1] fall into the end cells
+    return x, np.repeat(h, np.diff(at))
 
 
 def _cells(q: StepPotential, nodes=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cell decomposition of q: (x, s, w) with nodes x = breakpoints,
     mass sites and ``nodes`` in increasing order, s[i] the height on
     [x_i, x_{i+1}) read at its left end (the midpoint of a one-ulp cell rounds
-    to its right end) and w[i] the point mass at x_i.  Without masses or
-    extra nodes it returns q's own arrays, with no sort or search."""
-    bp = q.breakpoints
+    to its right end) and w[i] the point mass at x_i, merged by ``_refine``.
+    Without masses or extra nodes it returns q's own arrays, with no sort."""
     if not q.deltas and not len(nodes):
-        return bp, q.heights, np.zeros(bp.size)
+        return q.breakpoints, q.heights, np.zeros(q.breakpoints.size)
     sites, weights = np.array(q.deltas).reshape(-1, 2).T
-    x = np.union1d(bp, np.concatenate((sites, nodes)))
+    x, s = _refine(q.breakpoints, q.heights, np.concatenate((sites, nodes)))
     w = np.zeros(x.size)
     w[np.searchsorted(x, sites)] = weights
-    return x, _cell_values(bp, q.heights, x[:-1]), w
+    return x, s, w
 
 
 class DeltaComponent(NamedTuple):
@@ -94,7 +104,7 @@ class StepPotential:
     ``heights[i]`` is the value on the open cell (x_i, x_{i+1}).  ``deltas``
     holds the masses sorted by site: masses at one site are merged by adding
     their weights, and a zero weight is dropped.  Heights and weights may
-    have either sign.
+    have either sign.  ln h, which ``pnorm`` reads, is cached read-only.
     """
 
     breakpoints: np.ndarray
@@ -140,6 +150,13 @@ class StepPotential:
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
+    @cached_property
+    def _log_heights(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # ln 0 = -inf; pnorm reads h >= 0 only
+            log_h = np.log(self.heights)
+        log_h.flags.writeable = False
+        return log_h
+
     def value_at(self, x: float) -> float:
         """Cell value at x (cells are taken half-open to the right)."""
         return float(_cell_values(self.breakpoints, self.heights, x))
@@ -160,10 +177,7 @@ class StepPotential:
                              [*a.deltas, *((s, -w) for s, w in b.deltas)])
 
     def to_dict(self) -> dict:
-        out = {
-            "breakpoints": [float(x) for x in self.breakpoints],
-            "heights": [float(h) for h in self.heights],
-        }
+        out = {"breakpoints": self.breakpoints.tolist(), "heights": self.heights.tolist()}
         if self.deltas:
             out["deltas"] = [{"site": s, "weight": w} for s, w in self.deltas]
         return out
@@ -212,27 +226,34 @@ def pnorm(y, p: float) -> float:
     formula.  Zero heights are allowed for p > 0 (0^p = 0) and rejected for
     p <= 0.  The sum is evaluated through expm1/log1p so the result stays
     accurate uniformly in p, including p within rounding distance of 0.
+    ln h is cached on y, so a ladder of exponents takes the logarithms once.
     """
     _require_admissible(y)
     if not math.isfinite(p):
         raise ValueError("exponent must be finite")
-    return _pnorm(y.heights, y.widths, p)
+    return _pnorm(y.heights, y.widths, p, y._log_heights)
 
 
-def _pnorm(h: np.ndarray, w: np.ndarray, p: float) -> float:
-    """``pnorm``'s array core: heights h >= 0 on cells of widths w, p finite."""
-    positive = h > 0
-    if p <= 0 and not positive.all():
-        raise NonPositiveExponentOnVanishingFunction(
-            "p <= 0 requires strictly positive heights"
-        )
+def _pnorm(h: np.ndarray, w: np.ndarray, p: float, log_h=None) -> float:
+    """``pnorm``'s array core: heights h >= 0 on cells of widths w, p finite,
+    and log_h = ln h where it is at hand."""
+    if log_h is None:
+        with np.errstate(divide="ignore"):  # ln 0 = -inf marks a vanishing cell
+            log_h = np.log(h)
+    wp, x, zero_w = w, log_h, 0.0
+    if log_h.min() == -math.inf:  # masks only where a height is 0
+        if p <= 0:
+            raise NonPositiveExponentOnVanishingFunction(
+                "p <= 0 requires strictly positive heights"
+            )
+        positive = h > 0
+        wp, x, zero_w = w[positive], log_h[positive], w[~positive].sum()
     if p == 0.0:
-        return float(math.exp(np.dot(w, np.log(h))))
-    wp = w[positive]
-    x = p * np.log(h[positive])
+        return float(math.exp(np.dot(w, log_h)))
+    x = p * x
     with np.errstate(over="ignore", under="ignore"):  # both are handled below
         # S - 1 with S = integral of h^p; exact -sum(w) contribution from zero cells.
-        s_minus_1 = float(np.dot(wp, np.expm1(x)) - w[~positive].sum())
+        s_minus_1 = float(np.dot(wp, np.expm1(x)) - zero_w)
         if abs(s_minus_1) <= 0.5:
             return _kappa(s_minus_1, p)
         if not wp.size:
@@ -263,15 +284,16 @@ def normalize_gamma(f, gamma: float) -> tuple[StepPotential, float]:
     if gamma == 0.0 or not math.isfinite(gamma):
         raise ValueError("gamma must be finite and nonzero")
     _require_admissible(f)
-    heights, kappa = _normalized(f.heights, f.widths, gamma)
+    heights, kappa = _normalized(f.heights, f.widths, gamma, f._log_heights)
     return StepPotential(f.breakpoints, heights), kappa
 
 
-def _normalized(h: np.ndarray, w: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """``normalize_gamma``'s array core for heights h >= 0 on cells of widths
-    w and a finite gamma != 0; h / kappa can overflow where kappa < 1."""
+def _normalized(h: np.ndarray, w: np.ndarray, gamma: float,
+                log_h=None) -> tuple[np.ndarray, float]:
+    """``normalize_gamma``'s array core, with h, w and log_h as in ``_pnorm``
+    and a finite gamma != 0; h / kappa can overflow where kappa < 1."""
     try:
-        kappa = _pnorm(h, w, gamma)
+        kappa = _pnorm(h, w, gamma, log_h)
     except NonPositiveExponentOnVanishingFunction as exc:
         raise ZeroPotential("gamma-norm undefined for this potential") from exc
     if not (kappa > 0.0 and math.isfinite(kappa)):
@@ -294,11 +316,8 @@ def shift(q, c: float) -> StepPotential:
 
 def refine_common(a, b) -> tuple[StepPotential, StepPotential]:
     """Re-express both potentials on the union of their breakpoints, read at
-    each union cell's left end (cells are half-open to the right, and the
-    midpoint of a one-ulp cell rounds to its right end); their point masses
-    are carried along unchanged."""
-    grid = np.union1d(a.breakpoints, b.breakpoints)
-    return tuple(
-        StepPotential(grid, _cell_values(q.breakpoints, q.heights, grid[:-1]), q.deltas)
-        for q in (a, b)
-    )
+    each union cell's left end as in ``_cells`` (cells are half-open to the
+    right); their point masses are carried along unchanged."""
+    grid, ha = _refine(a.breakpoints, a.heights, b.breakpoints)
+    hb = _refine(b.breakpoints, b.heights, grid)[1]
+    return StepPotential(grid, ha, a.deltas), StepPotential(grid, hb, b.deltas)

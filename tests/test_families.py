@@ -429,6 +429,28 @@ class TestSearchExtremum:
         assert res.evaluations == 1 and len(res.trace) == 1
         assert np.array_equal(res.best_q.heights, np.ones(4))
 
+    def test_a_zero_height_start_keeps_the_float_path(self, monkeypatch):
+        # u_i = 0^gamma - 1 = -1 for gamma > 0, so the incumbent's terms exist
+        # and only the proposals that scale the zero cell (64, which leave it
+        # at 0) or have |S - 1| > 1/2 (50) go to _normalized; all 500 did when
+        # a zero height left the incumbent without terms
+        calls = Counter()
+
+        def normalized(*args):
+            calls["array"] += 1
+            return _normalized(*args)
+
+        monkeypatch.setattr(families, "_normalized", normalized)
+        start = StepPotential.from_uniform_cells([0.0, 1, 1, 1, 1, 1, 1, 1])
+        spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500, start=start)
+        res = search_extremum(spec, BC11)
+        assert calls["array"] <= 114
+        values = [v for _, v in res.trace]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert abs(pnorm(res.best_q, 2.0) - 1.0) <= 1e-10
+        # the value the search reached when every proposal took the array path
+        assert res.best_lambda == pytest.approx(1.347026046418061, rel=1e-13, abs=0.0)
+
     def test_a_failed_normalisation_counts_toward_the_step_shrink(self, monkeypatch):
         # K = 2 from q = 1: every move tops 1.26 after renormalisation, so a cap
         # of 1.1 rejects proposals 1-3, and proposal 4 fails to normalise.  That

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl_extremal import (
     DeltaComponent,
@@ -17,7 +18,7 @@ from sl_extremal import (
     refine_common,
     shift,
 )
-from sl_extremal.potentials import _cells
+from sl_extremal.potentials import _cell_values, _cells, _kappa, _pnorm
 
 from conftest import random_positive_step
 
@@ -284,11 +285,84 @@ class TestCells:
         assert s.tolist() == [1.0, 2.0, 2.0]  # the one-ulp cell keeps its height
         assert w.tolist() == [0.0, 0.0, 7.0, 0.0]
 
+    @staticmethod
+    def _union_reference(q, nodes):
+        """The decomposition as ``np.union1d`` and ``_cell_values`` built it."""
+        sites, weights = np.array(q.deltas).reshape(-1, 2).T
+        x = np.union1d(q.breakpoints, np.concatenate((sites, nodes)))
+        w = np.zeros(x.size)
+        w[np.searchsorted(x, sites)] = weights
+        return x, _cell_values(q.breakpoints, q.heights, x[:-1]), w
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_merge_matches_the_union_reference(self, data):
+        inner = data.draw(st.lists(st.floats(1e-9, 1.0 - 1e-9), max_size=8, unique=True))
+        bps = [0.0, *sorted(inner), 1.0]
+        ulp = [math.nextafter(b, d) for b in inner for d in (0.0, 1.0)]
+        site = st.sampled_from([0.0, 1.0, *inner, *ulp]) | st.floats(0.0, 1.0)
+        q = StepPotential(bps, data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(bps) - 1,
+                                                  max_size=len(bps) - 1)),
+                          data.draw(st.lists(st.tuples(site, st.floats(-5.0, 5.0)), max_size=4)))
+        # nodes within 1e-12 outside [0, 1] are what ``rayleigh`` accepts
+        ends = [0.0, 1.0, -1e-13, 1.0 + 1e-13]
+        node = st.sampled_from([*ends, *inner, *ulp, *(s for s, _ in q.deltas)]) | site
+        nodes = data.draw(st.lists(node, max_size=12))  # repeats allowed
+        if data.draw(st.booleans()):
+            nodes += (np.arange(4097) / 4096).tolist()  # a sampling grid
+        x, s, w = _cells(q, np.array(nodes))
+        ref_x, ref_s, ref_w = self._union_reference(q, nodes)
+        assert x.tobytes() == ref_x.tobytes()
+        assert s.tobytes() == ref_s.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+
     def test_without_masses_the_arrays_are_q_s_own(self):
         q = StepPotential([0.0, 0.2, 0.7, 1.0], [3.0, 0.0, 1.0])
         x, s, w = _cells(q)
         assert x is q.breakpoints and s is q.heights
         assert w.tolist() == [0.0] * 4
+
+
+def _masked_pnorm(h, w, p):
+    """The norm core as it was before ln h was cached: masks on every call."""
+    positive = h > 0
+    if p == 0.0:
+        return float(math.exp(np.dot(w, np.log(h))))
+    wp, x = w[positive], p * np.log(h[positive])
+    with np.errstate(over="ignore", under="ignore"):
+        s_minus_1 = float(np.dot(wp, np.expm1(x)) - w[~positive].sum())
+        if abs(s_minus_1) <= 0.5:
+            return _kappa(s_minus_1, p)
+        if not wp.size:
+            return 0.0
+        s = float(np.dot(wp, np.exp(x)))
+        if 0.0 < s < math.inf:
+            return float(math.exp(float(np.log(s)) / p))
+        top = float(x.max())
+        return float(math.exp((top + float(np.log(np.dot(wp, np.exp(x - top))))) / p))
+
+
+class TestPnormCache:
+    def test_cached_logarithms_are_read_only(self):
+        q = StepPotential([0.0, 0.5, 1.0], [0.0, 2.0])
+        with pytest.raises(ValueError):
+            q._log_heights[1] = 0.0
+        assert q._log_heights is q._log_heights
+        assert q._log_heights.tolist() == [-math.inf, math.log(2.0)]
+        assert q.widths.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("p", [-3.0, -0.5, 0.0, 1e-300, 0.25, 1.0, 2.0, 40.0, 800.0])
+    def test_bitwise_equal_to_the_uncached_core(self, p):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            top = 300.0 if p > 0 else 3.0  # h^p overflows at the far end for large |p|
+            h = 10.0 ** rng.uniform(-300.0, top, size=int(rng.integers(1, 40)))
+            if p > 0 and trial % 2:
+                h[rng.random(h.size) < 0.4] = 0.0  # zero heights, allowed for p > 0
+            q = StepPotential(np.linspace(0.0, 1.0, h.size + 1), h)
+            ref = _masked_pnorm(q.heights, q.widths, p)
+            assert pnorm(q, p) == ref and pnorm(q, p) == ref  # first call and cached
+            assert _pnorm(q.heights, q.widths, p) == ref
 
 
 class TestRefineCommon:

@@ -21,6 +21,7 @@ from sl_extremal import (
     wminus1_dist,
     wminus1_norm,
 )
+from sl_extremal.sobolev import _G_SERIES, _energy
 
 README_MEASURE = StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0], [(0.5, 10.0)])
 
@@ -350,12 +351,90 @@ class TestWminus1Dist:
                 # ||spike - delta||^2 = 1/(3n) + O(1/n^2): the kink of G at the site
                 assert d == pytest.approx(math.sqrt(1.0 / (3 * n)), rel=0.2 / n)
 
+    def test_equals_the_norm_of_the_difference(self):
+        # read on the merged nodes, f - g is never built, and the sum is the
+        # same bit for bit: every shared site here is a breakpoint of f
+        rng = np.random.default_rng(49)
+        for _ in range(200):
+            f, g = random_measure(rng), random_measure(rng)
+            shared = [f.breakpoints[1], *(s for s, _ in g.deltas)]
+            f = StepPotential(f.breakpoints, f.heights,
+                              [*f.deltas, *((s, float(rng.normal())) for s in shared)])
+            assert wminus1_dist(f, g) == wminus1_norm(f - g)
+            assert wminus1_dist(g, f) == wminus1_norm(g - f)
+        for n in (100, 10**4, 10**6):
+            spike, _ = statement1_family(0.5, n, 0.25)
+            delta = StepPotential([0, 1], [0.0], [(0.5, 1.0)])
+            assert wminus1_dist(spike, delta) == wminus1_norm(spike - delta)
+
+    def test_masses_that_cancel_off_the_breakpoints(self):
+        # f - g drops a mass that cancels at a site inside a cell, while the
+        # merged nodes keep that site and split the cell there: the two sums
+        # then differ by rounding only
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            f, g = random_measure(rng), random_measure(rng)
+            site, w = float(rng.uniform(0.01, 0.99)), float(rng.normal())
+            f = StepPotential(f.breakpoints, f.heights, [*f.deltas, (site, w)])
+            g = StepPotential(g.breakpoints, g.heights, [*g.deltas, (site, w)])
+            d, ref = wminus1_dist(f, g), wminus1_norm(f - g)
+            assert abs(d - ref) <= 4 * math.ulp(ref)
+
+    def test_overflowing_difference_raises(self):
+        f = StepPotential([0.0, 0.5, 1.0], [1e308, 0.0])
+        g = StepPotential([0.0, 0.25, 1.0], [-1e308, 1.0], [(0.5, 1e308)])
+        h = StepPotential([0.0, 1.0], [0.0], [(0.5, -1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((f, g), (g, f), (g, h)):
+                with pytest.raises(ValueError):
+                    wminus1_dist(a, b)
+
     def test_exact_subtraction_cancels_shared_parts(self):
         f = StepPotential([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
         g = StepPotential([0.0, 0.5, 1.0], [2.0, 1.0], [(0.3, 1.0)])
         diff = f - g
         assert np.all(diff.heights == 0.0)
         assert diff.deltas == ()
+
+
+def polyval_energy(x, s, w):
+    """The energy sum with g from a 12-term ``np.polyval`` of the series."""
+    k = math.frexp(max(float(np.abs(s).max()), float(np.abs(w).max())))[1]
+    s, w = np.ldexp(s, -k), np.ldexp(w, -k)
+    length = np.diff(x)
+    ex, emx = np.exp(x), np.exp(-x)
+    dp, dq = -w * emx, w * ex
+    dp[1:] += s * emx[:-1] * np.expm1(-length)
+    dq[1:] += s * ex[:-1] * np.expm1(length)
+    p, q = np.cumsum(dp), np.cumsum(dq)
+    u0 = (q[-1] / math.e - p[-1] * math.e) / (2.0 * math.sinh(1.0))
+    p, q = ex[:-1] * (u0 + p[:-1]), emx[:-1] * (u0 + q[:-1])
+    u, du = 0.5 * (p + q), 0.5 * (p - q)
+    sh = np.sinh(length)
+    e = 2.0 * np.sinh(0.5 * length) ** 2
+    ch = 1.0 + e
+    g = np.polyval(_G_SERIES, length * length) * length**3
+    energy = (sh * ch * (u * u + du * du) + 2.0 * sh * sh * u * du
+              - 2.0 * s * e * (sh * u + ch * du) + s * s * g)
+    return math.ldexp(math.sqrt(max(float(energy.sum()), 0.0)), k)
+
+
+class TestEnergy:
+    def test_in_place_series_is_the_12_term_polyval(self):
+        # cell lengths in (0, 1], 1 itself included, where the top terms of
+        # the series count most; x need not end at 1 for the comparison
+        rng = np.random.default_rng(51)
+        for trial in range(200):
+            k = int(rng.integers(1, 60))
+            if trial % 2:
+                lengths = 10.0 ** rng.uniform(-15.0, 0.0, size=k)
+            else:
+                lengths = np.where(rng.random(k) < 0.3, 1.0, 1.0 - rng.random(k))
+            x = np.concatenate(([0.0], np.cumsum(lengths)))
+            s = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 13.0, k)
+            w = np.where(rng.random(k + 1) < 0.2, rng.normal(size=k + 1), 0.0)
+            assert _energy(x, s, w) == polyval_energy(x, s, w)
 
 
 class TestSignedMeasureType:
