@@ -424,6 +424,109 @@ class TestHostileInputs:
         assert len(out.splitlines()) == 3
 
 
+F_SIGNED = '{"breakpoints":[0,0.25,1],"heights":[1,-2],"deltas":[{"site":0.5,"weight":1}]}'
+BC = ["--k0sq", "1", "--k1sq", "1"]
+SEARCH = ["search", "--mode", "max", "--gamma", "2", "--cells", "3", *BC, "--max-iters", "12"]
+THM1 = ["verify-thm1", "--gamma", "0.5", *BC, "--rho", "2,5", "--spikes", "4"]
+THM2 = ["verify-thm2", "--gamma", "2", *BC, "--n", "2,4"]
+
+# the exact stdout of every subcommand in every format it accepts: any change
+# to a handler's payload, its CSV rows or the one place that formats them
+# shows here as a changed byte
+GOLDEN = [
+    ("eig-json", ["eig", "--q-json", Q_STEP, *BC],
+     '{"lambda1":0.41893244053130324,"residual":1.7763568394002505e-15,'
+     '"bracket":[0.41893244053127826,0.41893244053130324],"iterations":19}\n'),
+    ("eig-csv", ["eig", "--q-json", Q_STEP, *BC, "--format", "csv"],
+     'lambda1,residual,bracket_lo,bracket_hi,iterations\n'
+     '0.41893244053130324,1.7763568394002505e-15,0.41893244053127826,'
+     '0.41893244053130324,19\n'),
+    ("eig-eigenfunction", ["eig", "--q-json", Q_STEP, *BC, "--eigenfunction", "4"],
+     '{"lambda1":0.41893244053130324,"residual":1.7763568394002505e-15,'
+     '"bracket":[0.41893244053127826,0.41893244053130324],"iterations":19,'
+     '"eigenfunction_samples":[[0,0.85535584720028723],[0.25,1],[0.5,'
+     '0.99535600113425082],[0.75,0.88671588272447421],[1,0.72739204081801023]]}\n'),
+    ("eig-zero-json", ["eig-zero", *BC],
+     '{"lambda1":1.7070529755509221}\n'),
+    ("eig-zero-csv", ["eig-zero", *BC, "--format", "csv"],
+     'lambda1\n'
+     '1.7070529755509221\n'),
+    ("norms-json", ["norms", "--q-json", Q_STEP, "--p=-1,0,2", "--format", "json"],
+     '{"rows":[{"p":-1,"value":0.80000000000000004},{"p":0,"value":1},{"p":2,'
+     '"value":1.4577379737113252}]}\n'),
+    ("norms-csv", ["norms", "--q-json", Q_STEP, "--p=-1,0,2"],
+     'p,value\n'
+     '-1,0.80000000000000004\n'
+     '0,1\n'
+     '2,1.4577379737113252\n'),
+    ("wdist-json", ["wdist", "--f-json", F_SIGNED, "--g-json", Q_STEP],
+     '{"wminus1_dist":1.5194327666365779}\n'),
+    ("wdist-csv", ["wdist", "--f-json", F_SIGNED, "--format", "csv"],
+     'wminus1_dist\n'
+     '0.44211034407292582\n'),
+    ("search-json", [*SEARCH, "--seed", "7"],
+     '{"best_lambda":1.0609430847017483,"best_q":{"breakpoints":[0,'
+     '0.33333333333333331,0.66666666666666663,1],"heights":[1.7253243712550146,'
+     '0.10783277320343841,0.10783277320343841]},"evaluations":13,"trace":[[0,'
+     '0.70705297555092361],[1,0.77328559531557273],[4,0.84910892356555656],[6,'
+     '0.89774763612610409],[7,0.99974269316606446],[10,1.0351503750421234],[12,'
+     '1.0609430847017483]],"seed":7}\n'),
+    ("search-csv", [*SEARCH, "--format", "csv"],
+     'iteration,best_lambda\n'
+     '0,0.70705297555092361\n'
+     '1,0.77328559531557273\n'
+     '4,0.84910892356555656\n'
+     '6,0.89774763612610409\n'
+     '7,0.99974269316606446\n'
+     '10,1.0351503750421234\n'
+     '12,1.0609430847017483\n'),
+    ("family-1", ["family", "--statement", "1", "--gamma", "0.5", "--zeta", "0.5", "--n", "4"],
+     '{"statement":1,"gamma":0.5,"gamma_norm":0.25,"q":{"breakpoints":[0,0.25,0.5,'
+     '1],"heights":[0,4,0]}}\n'),
+    ("family-2", ["family", "--statement", "2", "--gamma", "0.5", "--rho-star", "10",
+                  "--height", "1e6", "--spikes", "2", "--floor", "0.01"],
+     '{"statement":2,"gamma":0.5,"kappa":0.012097580351950944,'
+     '"nu_norm":0.2443410302986268,"q":{"breakpoints":[0,0.2499975025,'
+     '0.25000249749999998,0.74999750249999997,0.75000249749999992,1],'
+     '"heights":[0.82661157926405726,82661158.753017306,0.82661157926405726,'
+     '82661158.753017306,0.82661157926405726]}}\n'),
+    ("family-3", ["family", "--statement", "3", "--gamma", "2", "--n", "4"],
+     '{"statement":3,"gamma":2,"gamma_norm":1,"mass":0.5,"q":{"breakpoints":[0,'
+     '0.25,1],"heights":[2,0]}}\n'),
+    ("verify-thm1-json", [*THM1, "--format", "json"],
+     '{"rows":[{"n_or_rho":2,"lambda1":-13.565038693879835,'
+     '"reference":-0.29294702444907794,"gap":13.272091669430758},{"n_or_rho":5,'
+     '"lambda1":-44.364689937378635,"reference":-3.2929470244490782,'
+     '"gap":41.071742912929558}],"details":[{"rho_star":2,'
+     '"kappa":0.14116041834259291,"height":1000,"spikes":4,"nu":0.75,'
+     '"gamma_norm_error":0,"bound":0.70705297555092206},{"rho_star":5,'
+     '"kappa":0.13327833870762418,"height":10000,"spikes":4,"nu":0.75,'
+     '"gamma_norm_error":6.6613381477509392e-16,"bound":-0.79294702444907816}]}\n'),
+    ("verify-thm1-csv", THM1,
+     'n_or_rho,lambda1,reference,gap\n'
+     '2,-13.565038693879835,-0.29294702444907794,13.272091669430758\n'
+     '5,-44.364689937378635,-3.2929470244490782,41.071742912929558\n'),
+    ("verify-thm2-json", [*THM2, "--format", "json"],
+     '{"rows":[{"n_or_rho":2,"lambda1":0.96605009858054602,'
+     '"reference":1.7070529755509221,"gap":0.74100287697037603},{"n_or_rho":4,'
+     '"lambda1":1.2255179733198425,"reference":1.7070529755509221,'
+     '"gap":0.48153500223107959}]}\n'),
+    ("verify-thm2-csv", THM2,
+     'n_or_rho,lambda1,reference,gap\n'
+     '2,0.96605009858054602,1.7070529755509221,0.74100287697037603\n'
+     '4,1.2255179733198425,1.7070529755509221,0.48153500223107959\n'),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv, expected", [c[1:] for c in GOLDEN],
+                             ids=[c[0] for c in GOLDEN])
+    def test_stdout_is_pinned(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == expected
+
+
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
