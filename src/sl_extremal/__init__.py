@@ -4,15 +4,12 @@ y'(1) = -k1^2 y(1), over potentials normalized by int_0^1 q^gamma dx = 1."""
 
 from .potentials import (
     DeltaComponent,
-    NegativeResult,
     NonPositiveExponentOnVanishingFunction,
     Potential,
     StepPotential,
     ZeroPotential,
     normalize_gamma,
     pnorm,
-    refine_common,
-    shift,
 )
 from .eigensolver import (
     BracketNotFound,
@@ -50,11 +47,8 @@ __all__ = [
     "Potential",
     "pnorm",
     "normalize_gamma",
-    "shift",
-    "refine_common",
     "NonPositiveExponentOnVanishingFunction",
     "ZeroPotential",
-    "NegativeResult",
     "RobinBC",
     "EigenResult",
     "theta_end",

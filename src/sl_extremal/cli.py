@@ -14,9 +14,11 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 from .eigensolver import BracketNotFound, RobinBC, lambda1, lambda1_zero
 from .families import (
+    CSV_HEADER,
     ExtremumSearchSpec,
     NormBudgetExceeded,
     SpikeTrainSpec,
@@ -58,7 +60,7 @@ def _parse_potential(args, prefix: str = "q", *, signed: bool = False,
         return default
     if inline is not None and path is not None:
         raise CLIError(f"--{prefix}-json and --{prefix}-file are mutually exclusive")
-    text = inline if inline is not None else open(path, "r", encoding="utf-8").read()
+    text = inline if inline is not None else Path(path).read_text(encoding="utf-8")
     try:
         q = StepPotential.from_dict(json.loads(text))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -93,9 +95,19 @@ def _int_list(text: str, name: str) -> list[int]:
     return out
 
 
-def _add_io_options(p, default_format: str):
-    p.add_argument("--format", choices=("json", "csv"), default=default_format)
+def _add_command(sub, name: str, handler, help: str, default_format: str = "json",
+                 formats=("json", "csv")):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--format", choices=formats, default=default_format)
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _add_potential_options(p, *prefixes: str):
+    for prefix in prefixes:
+        p.add_argument(f"--{prefix}-json")
+        p.add_argument(f"--{prefix}-file")
 
 
 def _add_bc_options(p):
@@ -104,50 +116,35 @@ def _add_bc_options(p):
 
 
 # --- handlers ----------------------------------------------------------------
+# each returns (JSON payload, CSV header, CSV rows); main formats one of them
 
-def _cmd_eig(args) -> str:
+def _cmd_eig(args):
     q = _parse_potential(args)
     result = lambda1(q, _bc(args), eigenfunction_samples=args.eigenfunction)
-    if args.format == "json":
-        return dumps(result.to_dict()) + "\n"
-    row = [
-        result.lambda1,
-        result.residual,
-        result.bracket[0],
-        result.bracket[1],
-        result.iterations,
-    ]
-    return to_csv(["lambda1", "residual", "bracket_lo", "bracket_hi", "iterations"], [row])
+    row = [result.lambda1, result.residual, *result.bracket, result.iterations]
+    return (result.to_dict(),
+            ["lambda1", "residual", "bracket_lo", "bracket_hi", "iterations"], [row])
 
 
-def _cmd_eig_zero(args) -> str:
+def _cmd_eig_zero(args):
     value = lambda1_zero(_bc(args))
-    if args.format == "json":
-        return dumps({"lambda1": value}) + "\n"
-    return to_csv(["lambda1"], [[value]])
+    return {"lambda1": value}, ["lambda1"], [[value]]
 
 
-def _cmd_norms(args) -> str:
+def _cmd_norms(args):
     q = _parse_potential(args)
-    exponents = _float_list(args.p, "p")
-    rows = [(p, pnorm(q, p)) for p in exponents]
-    if args.format == "json":
-        return dumps({"rows": [{"p": p, "value": v} for p, v in rows]}) + "\n"
-    return to_csv(["p", "value"], rows)
+    rows = [(p, pnorm(q, p)) for p in _float_list(args.p, "p")]
+    return {"rows": [{"p": p, "value": v} for p, v in rows]}, ["p", "value"], rows
 
 
-def _cmd_wdist(args) -> str:
+def _cmd_wdist(args):
     f = _parse_potential(args, "f", signed=True)
     g = _parse_potential(args, "g", signed=True, default=StepPotential.constant(0.0))
     value = wminus1_dist(f, g)
-    if args.format == "json":
-        return dumps({"wminus1_dist": value}) + "\n"
-    return to_csv(["wminus1_dist"], [[value]])
+    return {"wminus1_dist": value}, ["wminus1_dist"], [[value]]
 
 
-def _cmd_family(args) -> str:
-    if args.format == "csv":
-        raise CLIError("family output is JSON only")
+def _cmd_family(args):
     if args.statement == 1:
         if args.zeta is None or args.n is None:
             raise CLIError("statement 1 needs --zeta and --n")
@@ -169,10 +166,10 @@ def _cmd_family(args) -> str:
         q, kappa = statement2_family(spec, args.gamma)
         payload = {"statement": 2, "gamma": args.gamma, "kappa": kappa,
                    "nu_norm": statement2_budget(spec), "q": q.to_dict()}
-    return dumps(payload) + "\n"
+    return payload, None, None
 
 
-def _cmd_verify_thm1(args) -> str:
+def _cmd_verify_thm1(args):
     table = verify_thm1(
         args.gamma,
         _bc(args),
@@ -182,19 +179,16 @@ def _cmd_verify_thm1(args) -> str:
         nu=args.nu,
         slack_fraction=args.slack_fraction,
     )
-    if args.format == "json":
-        return dumps({"rows": table.to_dicts(), "details": list(table.details)}) + "\n"
-    return table.to_csv()
+    payload = {"rows": table.to_dicts(), "details": list(table.details)}
+    return payload, CSV_HEADER, [r.as_list() for r in table.rows]
 
 
-def _cmd_verify_thm2(args) -> str:
+def _cmd_verify_thm2(args):
     table = verify_thm2(args.gamma, _bc(args), _int_list(args.n, "n"))
-    if args.format == "json":
-        return dumps({"rows": table.to_dicts()}) + "\n"
-    return table.to_csv()
+    return {"rows": table.to_dicts()}, CSV_HEADER, [r.as_list() for r in table.rows]
 
 
-def _cmd_search(args) -> str:
+def _cmd_search(args):
     spec = ExtremumSearchSpec(
         gamma=args.gamma,
         mode=args.mode,
@@ -206,11 +200,9 @@ def _cmd_search(args) -> str:
         height_cap=args.height_cap,
     )
     result = search_extremum(spec, _bc(args))
-    if args.format == "json":
-        payload = result.to_dict()
-        payload["seed"] = args.seed
-        return dumps(payload) + "\n"
-    return to_csv(["iteration", "best_lambda"], [[i, v] for i, v in result.trace])
+    payload = result.to_dict()
+    payload["seed"] = args.seed
+    return payload, ["iteration", "best_lambda"], [[i, v] for i, v in result.trace]
 
 
 # one parser serves every main call in a process: each add_argument asks the
@@ -220,36 +212,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sl-extremal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eig", help="first eigenvalue of a step+delta potential")
-    p.add_argument("--q-json")
-    p.add_argument("--q-file")
+    p = _add_command(sub, "eig", _cmd_eig, "first eigenvalue of a step+delta potential")
+    _add_potential_options(p, "q")
     _add_bc_options(p)
     p.add_argument("--eigenfunction", type=int, default=None, metavar="N",
                    help="include eigenfunction samples on the grid j/N")
-    _add_io_options(p, "json")
-    p.set_defaults(handler=_cmd_eig)
 
-    p = sub.add_parser("eig-zero", help="zero-potential eigenvalue (characteristic equation)")
+    p = _add_command(sub, "eig-zero", _cmd_eig_zero,
+                     "zero-potential eigenvalue (characteristic equation)")
     _add_bc_options(p)
-    _add_io_options(p, "json")
-    p.set_defaults(handler=_cmd_eig_zero)
 
-    p = sub.add_parser("norms", help="extended L^p norms of a step potential")
-    p.add_argument("--q-json")
-    p.add_argument("--q-file")
+    p = _add_command(sub, "norms", _cmd_norms, "extended L^p norms of a step potential", "csv")
+    _add_potential_options(p, "q")
     p.add_argument("--p", required=True, help="comma-separated exponents (0 = geometric mean)")
-    _add_io_options(p, "csv")
-    p.set_defaults(handler=_cmd_norms)
 
-    p = sub.add_parser("wdist", help="negative Sobolev distance between signed measures")
-    p.add_argument("--f-json")
-    p.add_argument("--f-file")
-    p.add_argument("--g-json")
-    p.add_argument("--g-file")
-    _add_io_options(p, "json")
-    p.set_defaults(handler=_cmd_wdist)
+    p = _add_command(sub, "wdist", _cmd_wdist, "negative Sobolev distance between signed measures")
+    _add_potential_options(p, "f", "g")
 
-    p = sub.add_parser("family", help="generate one of the explicit potential families")
+    # family output is JSON only, so argparse rejects --format csv before any
+    # family is built
+    p = _add_command(sub, "family", _cmd_family, "generate one of the explicit potential families",
+                     formats=("json",))
     p.add_argument("--statement", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--zeta", type=float, default=None)
@@ -259,10 +242,9 @@ def build_parser() -> _Parser:
     p.add_argument("--spikes", type=int, default=100)
     p.add_argument("--height", type=float, default=None)
     p.add_argument("--nu", type=float, default=0.75)
-    _add_io_options(p, "json")
-    p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser("verify-thm1", help="certify unboundedness below (gamma < 1)")
+    p = _add_command(sub, "verify-thm1", _cmd_verify_thm1,
+                     "certify unboundedness below (gamma < 1)", "csv")
     p.add_argument("--gamma", type=float, required=True)
     _add_bc_options(p)
     p.add_argument("--rho", required=True, help="comma-separated target levels")
@@ -270,17 +252,14 @@ def build_parser() -> _Parser:
     p.add_argument("--floor", type=float, default=0.1)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--slack-fraction", type=float, default=0.5)
-    _add_io_options(p, "csv")
-    p.set_defaults(handler=_cmd_verify_thm1)
 
-    p = sub.add_parser("verify-thm2", help="track the supremum trend (gamma > 1)")
+    p = _add_command(sub, "verify-thm2", _cmd_verify_thm2,
+                     "track the supremum trend (gamma > 1)", "csv")
     p.add_argument("--gamma", type=float, required=True)
     _add_bc_options(p)
     p.add_argument("--n", required=True, help="comma-separated family indices")
-    _add_io_options(p, "csv")
-    p.set_defaults(handler=_cmd_verify_thm2)
 
-    p = sub.add_parser("search", help="coordinate search for extremal eigenvalues")
+    p = _add_command(sub, "search", _cmd_search, "coordinate search for extremal eigenvalues")
     p.add_argument("--mode", choices=("min", "max"), required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--cells", type=int, required=True)
@@ -292,8 +271,6 @@ def build_parser() -> _Parser:
     p.add_argument("--height-cap", type=float, default=float("inf"))
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the output; the search itself is deterministic")
-    _add_io_options(p, "json")
-    p.set_defaults(handler=_cmd_search)
 
     return parser
 
@@ -305,7 +282,8 @@ def _emit_error(message: str, code: int) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text = args.handler(args)
+        payload, header, rows = args.handler(args)
+        text = dumps(payload) + "\n" if args.format == "json" else to_csv(header, rows)
     except CLIError as exc:
         _emit_error(str(exc), 2)
         return 2

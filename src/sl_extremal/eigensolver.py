@@ -82,10 +82,6 @@ class RobinBC:
             raise ValueError("k1sq must be finite and >= 0")
 
     @property
-    def theta_start(self) -> float:
-        return _arccot(self.k0sq)
-
-    @property
     def theta_target(self) -> float:
         return math.pi - _arccot(self.k1sq)
 

@@ -432,21 +432,27 @@ def _terms(h: list, w: list, gamma: float) -> tuple[list, float] | None:
     integral of h^gamma less 1 (u_i = -1 at h_i = 0 for gamma > 0); None if
     h_i^gamma overflows or is undefined."""
     try:
-        u = [-1.0 if x == 0.0 < gamma else math.expm1(gamma * math.log(x)) for x in h]
+        u = [_term(x, gamma) for x in h]
     except (ValueError, OverflowError):
         return None
     return u, math.fsum(map(operator.mul, w, u))
 
 
+def _term(x: float, gamma: float) -> float:
+    """x^gamma - 1, which is -1 at x = 0 for gamma > 0; ValueError at x = 0
+    for gamma < 0, and OverflowError where x^gamma overflows."""
+    return -1.0 if x == 0.0 < gamma else math.expm1(gamma * math.log(x))
+
+
 def _rescaled(h: list, w: list, terms, cell: int, hc: float, gamma: float) -> list | None:
     """h with h[cell] = hc renormalised from ``terms = _terms(h, w, gamma)``,
     or None where ``_normalized`` must decide (see ``search_extremum``)."""
-    if terms is None or not 0.0 < hc < math.inf:
+    if terms is None or hc == math.inf:
         return None
     u, s = terms
     try:
-        s += w[cell] * (math.expm1(gamma * math.log(hc)) - u[cell])
-    except OverflowError:
+        s += w[cell] * (_term(hc, gamma) - u[cell])
+    except (ValueError, OverflowError):
         return None
     if abs(s) > 0.5:
         return None
@@ -473,12 +479,12 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     incumbent, kept as floats with its terms h_i^gamma - 1, updates S - 1 =
     int h^gamma - 1 by one term and divides by kappa = exp(log1p(S - 1)/gamma),
     the first branch of ``_pnorm``: about 1.2 us on 8 cells, against 11 us
-    through ``_normalized``, which takes a scaled height that is not finite
-    and positive, an overflowing math call, or |S - 1| > 1/2 (a zero height
-    has the term -1, as gamma > 0).  A proposal is rejected if the
-    normalization fails or a height overflows, and otherwise costs one walk.  The trace therefore
-    holds only theta-confirmed improvements and is strictly monotone;
-    ``evaluations`` counts the proposals evaluated.
+    through ``_normalized``, which takes a scaled height that is infinite, or
+    0 at gamma < 0, an overflowing math call, or |S - 1| > 1/2 (a zero
+    height has the term -1 at gamma > 0).  A proposal is rejected if the
+    normalization fails or a height overflows, and otherwise costs one walk.
+    The trace therefore holds only theta-confirmed improvements and is
+    strictly monotone; ``evaluations`` counts the proposals evaluated.
     """
     if spec.start is not None:
         if spec.start.heights.size != spec.cells:

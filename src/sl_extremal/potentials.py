@@ -24,11 +24,8 @@ __all__ = [
     "Potential",
     "NonPositiveExponentOnVanishingFunction",
     "ZeroPotential",
-    "NegativeResult",
     "pnorm",
     "normalize_gamma",
-    "shift",
-    "refine_common",
 ]
 
 
@@ -38,10 +35,6 @@ class NonPositiveExponentOnVanishingFunction(ValueError):
 
 class ZeroPotential(ValueError):
     """Normalization is undefined when the gamma-norm vanishes or diverges."""
-
-
-class NegativeResult(ValueError):
-    """A shift drove some height below zero, leaving the admissible class."""
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -157,24 +150,9 @@ class StepPotential:
         log_h.flags.writeable = False
         return log_h
 
-    def value_at(self, x: float) -> float:
-        """Cell value at x (cells are taken half-open to the right)."""
-        return float(_cell_values(self.breakpoints, self.heights, x))
-
     def scaled(self, factor: float) -> "StepPotential":
         return StepPotential(self.breakpoints, self.heights * factor,
                              [(s, w * factor) for s, w in self.deltas])
-
-    def max_height(self) -> float:
-        return float(self.heights.max())
-
-    def __sub__(self, other: "StepPotential") -> "StepPotential":
-        """Exact difference on the union of both grids."""
-        a, b = refine_common(self, other)
-        with np.errstate(over="ignore"):  # an infinite height is rejected below
-            heights = a.heights - b.heights
-        return StepPotential(a.breakpoints, heights,
-                             [*a.deltas, *((s, -w) for s, w in b.deltas)])
 
     def to_dict(self) -> dict:
         out = {"breakpoints": self.breakpoints.tolist(), "heights": self.heights.tolist()}
@@ -186,11 +164,6 @@ class StepPotential:
     def from_dict(cls, data: dict) -> "StepPotential":
         return StepPotential(data["breakpoints"], data["heights"],
                              [(d["site"], d["weight"]) for d in data.get("deltas", [])])
-
-    def equals(self, other: "StepPotential") -> bool:
-        return (np.array_equal(self.breakpoints, other.breakpoints)
-                and np.array_equal(self.heights, other.heights)
-                and self.deltas == other.deltas)
 
 
 class Potential(StepPotential):
@@ -299,25 +272,3 @@ def _normalized(h: np.ndarray, w: np.ndarray, gamma: float,
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise ZeroPotential(f"gamma-norm is {kappa}; cannot normalize")
     return h / kappa, kappa
-
-
-def shift(q, c: float) -> StepPotential:
-    """Add the constant c to every height of an admissible q (q >= 0, no
-    point masses), keeping the result admissible."""
-    _require_admissible(q)
-    new_heights = q.heights + c
-    if np.any(new_heights < 0):
-        raise NegativeResult(
-            f"shift by {c} makes some height negative (min would be "
-            f"{float(new_heights.min())})"
-        )
-    return StepPotential(q.breakpoints, new_heights)
-
-
-def refine_common(a, b) -> tuple[StepPotential, StepPotential]:
-    """Re-express both potentials on the union of their breakpoints, read at
-    each union cell's left end as in ``_cells`` (cells are half-open to the
-    right); their point masses are carried along unchanged."""
-    grid, ha = _refine(a.breakpoints, a.heights, b.breakpoints)
-    hb = _refine(b.breakpoints, b.heights, grid)[1]
-    return StepPotential(grid, ha, a.deltas), StepPotential(grid, hb, b.deltas)

@@ -24,7 +24,7 @@ __all__ = ["wminus1_norm", "wminus1_dist"]
 _G_SERIES = [(4.0**k - 2.0) / math.factorial(2 * k + 1) for k in range(12, 0, -1)]
 
 
-def wminus1_norm(f: StepPotential, grid_n: int | None = None) -> float:
+def wminus1_norm(f: StepPotential) -> float:
     """Exact W^-1_2 norm ||f|| = ||u||_{W^1_2} of a signed step + delta measure.
 
     The Riesz representer u solves -u'' + u = f with u'(0) = u'(1) = 0: on a
@@ -38,8 +38,7 @@ def wminus1_norm(f: StepPotential, grid_n: int | None = None) -> float:
     state (u0, u0') at its left end, with g by its Taylor series.  Heights and
     weights are scaled by a power of two 2^k >= their largest magnitude, so
     the energy neither overflows nor underflows at extreme scales of f; a norm
-    beyond the float range raises ValueError.  ``grid_n`` is ignored; it is
-    kept for callers that still pass one.
+    beyond the float range raises ValueError.
     """
     return _energy(*_cells(f))
 

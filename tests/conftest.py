@@ -1,10 +1,12 @@
-"""Shared generators for randomized property checks (always seeded)."""
+"""Shared generators for randomized property checks (always seeded), and the
+union-grid reading that tests use to add or subtract two step functions."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from sl_extremal import StepPotential
+from sl_extremal.potentials import _cell_values
 
 
 def random_step(
@@ -22,3 +24,11 @@ def random_step(
 
 def random_positive_step(rng: np.random.Generator, max_cells: int = 8) -> StepPotential:
     return random_step(rng, max_height=5.0, max_cells=max_cells, min_height=0.2)
+
+
+def common_cells(a: StepPotential, b: StepPotential):
+    """(grid, ha, hb): the union of the breakpoints of a and b, and the heights
+    of each on its cells, read at their left ends."""
+    grid = np.union1d(a.breakpoints, b.breakpoints)
+    return (grid, _cell_values(a.breakpoints, a.heights, grid[:-1]),
+            _cell_values(b.breakpoints, b.heights, grid[:-1]))

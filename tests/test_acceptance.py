@@ -20,15 +20,13 @@ from sl_extremal import (
     lambda1_zero,
     pnorm,
     search_extremum,
-    shift,
     statement1_family,
-    refine_common,
     verify_thm1,
     verify_thm2,
     wminus1_dist,
 )
 
-from conftest import random_positive_step, random_step
+from conftest import common_cells, random_positive_step, random_step
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
@@ -72,7 +70,8 @@ def test_criterion_02_spectral_shift_identity():
             q = random_step(rng, max_height=50.0)
             base = lambda1(q, bc).lambda1
             for c in (1.0, 10.0):
-                err = abs(lambda1(shift(q, c), bc).lambda1 - (base - c))
+                shifted = StepPotential(q.breakpoints, q.heights + c)
+                err = abs(lambda1(shifted, bc).lambda1 - (base - c))
                 worst = max(worst, err)
                 assert err <= 1e-8
         info["detail"] = f"worst |shift defect| {worst:.2e}"
@@ -152,8 +151,8 @@ def test_criterion_08_eigenvalue_monotonicity():
         for _ in range(100):
             q1 = random_step(rng, max_height=25.0)
             bump = random_step(rng, max_height=3.0, min_height=0.3)
-            r1, rb = refine_common(q1, bump)
-            q2 = StepPotential(r1.breakpoints, r1.heights + rb.heights)
+            grid, h1, hb = common_cells(q1, bump)
+            q2 = StepPotential(grid, h1 + hb)
             defect = lambda1(q2, bc).lambda1 - lambda1(q1, bc).lambda1
             worst = max(worst, defect)
             assert defect <= 1e-8

@@ -108,6 +108,24 @@ class TestNorms:
         assert code == 0
         check_schema(out)
 
+    def test_file_input_closes_its_handle(self, tmp_path):
+        # a fresh interpreter in development mode, where a file left open
+        # raises ResourceWarning, which is printed on stderr
+        path = tmp_path / "q.json"
+        path.write_text(Q_STEP)
+        argv = ["norms", "--q-file", str(path), "--p", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+             "import sys; from sl_extremal.cli import entrypoint; "
+             "sys.argv[1:] = " + repr(argv) + "; entrypoint()"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "p,value\n1,1.25\n"
+
 
 class TestWdist:
     def test_norm_of_delta(self, capsys):

@@ -18,17 +18,16 @@ from sl_extremal import (
     lambda1_fd,
     lambda1_zero,
     rayleigh,
-    refine_common,
-    shift,
     statement2_family,
     statement3_family,
     theta_end,
     verify_thm1,
 )
 
-from sl_extremal.eigensolver import _bisect, _fitted, _p1_brackets
+from sl_extremal.eigensolver import _arccot, _bisect, _fitted, _p1_brackets
+from sl_extremal.potentials import _cell_values
 
-from conftest import random_step
+from conftest import common_cells, random_step
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
@@ -56,7 +55,7 @@ def theta_reference(pot: StepPotential, bc: RobinBC, lam: float) -> float:
     if 0.0 in jumps:
         theta = apply_jump(theta, jumps[0.0])
     for a, b in zip(cuts[:-1], cuts[1:]):
-        c = lam + pot.value_at(0.5 * (a + b))
+        c = lam + float(_cell_values(pot.breakpoints, pot.heights, 0.5 * (a + b)))
         sol = solve_ivp(
             lambda x, th: math.cos(th[0]) ** 2 + c * math.sin(th[0]) ** 2,
             (0.0, b - a),
@@ -81,7 +80,7 @@ def fitted_bisection_root(q, bc: RobinBC, x) -> float:
     kd, md = np.zeros(x.size), np.zeros(x.size)
     ke, me = np.zeros(x.size - 1), np.zeros(x.size - 1)
     for i, (a, b) in enumerate(zip(x[:-1], x[1:])):
-        h, s = b - a, q.value_at(0.5 * (a + b))
+        h, s = b - a, float(_cell_values(q.breakpoints, q.heights, 0.5 * (a + b)))
         for j in (i, i + 1):
             kd[j] += 1.0 / h - s * h / 3.0
             md[j] += h / 3.0
@@ -148,8 +147,9 @@ class TestThetaEnd:
             assert theta_end(q, BC11, la) < theta_end(q, BC11, lb)
 
     def test_start_angle_range(self):
-        assert RobinBC(0.0, 0.0).theta_start == pytest.approx(math.pi / 2)
-        assert RobinBC(1e9, 0.0).theta_start < 1e-8
+        # theta(0) = arccot(k0^2)
+        assert _arccot(RobinBC(0.0, 0.0).k0sq) == pytest.approx(math.pi / 2)
+        assert _arccot(RobinBC(1e9, 0.0).k0sq) < 1e-8
         assert RobinBC(0.0, 0.0).theta_target == pytest.approx(math.pi / 2)
 
 
@@ -196,7 +196,7 @@ class TestLambda1:
             q = random_step(rng, max_height=30.0)
             base = lambda1(q, BC11).lambda1
             for c in (1.0, 10.0):
-                shifted = lambda1(shift(q, c), BC11).lambda1
+                shifted = lambda1(StepPotential(q.breakpoints, q.heights + c), BC11).lambda1
                 assert shifted == pytest.approx(base - c, abs=1e-8)
 
     def test_monotone_in_the_potential(self):
@@ -204,8 +204,8 @@ class TestLambda1:
         for _ in range(10):
             q1 = random_step(rng, max_height=20.0)
             bump = random_step(rng, max_height=3.0, min_height=0.3)
-            r1, rb = refine_common(q1, bump)
-            q2 = StepPotential(r1.breakpoints, r1.heights + rb.heights)
+            grid, h1, hb = common_cells(q1, bump)
+            q2 = StepPotential(grid, h1 + hb)
             assert lambda1(q2, BC11).lambda1 <= lambda1(q1, BC11).lambda1 + 1e-8
 
     def test_signed_potential_is_a_pure_shift(self):
@@ -213,8 +213,8 @@ class TestLambda1:
         rng = np.random.default_rng(17)
         for _ in range(10):
             q = Potential(random_step(rng, max_height=30.0), [(0.3, 2.0)])
-            c = q.max_height() + float(rng.uniform(1.0, 10.0))
-            lowered = q - StepPotential.constant(c)
+            c = float(q.heights.max()) + float(rng.uniform(1.0, 10.0))
+            lowered = StepPotential(q.breakpoints, q.heights - c, q.deltas)
             assert lowered.heights.max() < 0.0 and lowered.deltas == q.deltas
             assert lambda1(lowered, BC11).lambda1 == pytest.approx(
                 lambda1(q, BC11).lambda1 + c, abs=1e-8

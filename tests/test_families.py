@@ -300,7 +300,7 @@ class TestSearchExtremum:
         spec = ExtremumSearchSpec(gamma=0.5, mode="min", cells=8, max_iters=80,
                                   step_init=2.0, height_cap=20.0)
         res = search_extremum(spec, BC00)
-        assert res.best_q.max_height() <= 20.0
+        assert res.best_q.heights.max() <= 20.0
 
     def test_start_potential_is_renormalized(self):
         start = StepPotential.from_uniform_cells([4.0, 1.0, 1.0, 1.0])
@@ -401,7 +401,7 @@ class TestSearchExtremum:
         assert res.evaluations == evaluations
         assert len(res.trace) == entries
         assert res.best_lambda == pytest.approx(best, rel=1e-15, abs=0.0)
-        assert res.best_q.max_height() <= spec.height_cap
+        assert res.best_q.heights.max() <= spec.height_cap
 
     def test_overflowing_proposals_are_rejected(self, monkeypatch):
         # a step of 1e308 overflows any height above 1.8 that an up move
@@ -430,10 +430,11 @@ class TestSearchExtremum:
         assert np.array_equal(res.best_q.heights, np.ones(4))
 
     def test_a_zero_height_start_keeps_the_float_path(self, monkeypatch):
-        # u_i = 0^gamma - 1 = -1 for gamma > 0, so the incumbent's terms exist
-        # and only the proposals that scale the zero cell (64, which leave it
-        # at 0) or have |S - 1| > 1/2 (50) go to _normalized; all 500 did when
-        # a zero height left the incumbent without terms
+        # u_i = 0^gamma - 1 = -1 for gamma > 0, so the incumbent's terms exist,
+        # a proposal that scales the zero cell leaves it at 0 with the same
+        # term, and only the 50 proposals with |S - 1| > 1/2 go to _normalized;
+        # all 500 did when a zero height left the incumbent without terms, and
+        # 114 when a zero proposed height still took the array path
         calls = Counter()
 
         def normalized(*args):
@@ -444,7 +445,7 @@ class TestSearchExtremum:
         start = StepPotential.from_uniform_cells([0.0, 1, 1, 1, 1, 1, 1, 1])
         spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500, start=start)
         res = search_extremum(spec, BC11)
-        assert calls["array"] <= 114
+        assert calls["array"] <= 50
         values = [v for _, v in res.trace]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert abs(pnorm(res.best_q, 2.0) - 1.0) <= 1e-10
@@ -490,8 +491,8 @@ class TestSearchExtremum:
     def _fallback_reason(w, terms, cell, hc, gamma):
         if hc == math.inf:
             return "hc not finite"
-        if hc <= 0.0:
-            return "hc not positive"
+        if hc == 0.0 > gamma:
+            return "hc 0 at gamma < 0"
         if terms is None:
             return "incumbent terms"
         u, s = terms
@@ -508,7 +509,10 @@ class TestSearchExtremum:
         steps = [2.0 ** -i for i in range(11)] + [1e308]
         factors = [f for step in steps for f in (1.0 + step, 1.0 / (1.0 + step))]
         rng = np.random.default_rng(11)
-        incumbents = [([1e-300, math.sqrt(2.0)], [0.5, 0.5], 2.0)]  # hc underflows to 0
+        # hc underflows to 0: the term is -1 at gamma > 0, and undefined at gamma < 0
+        incumbents = [([1e-300, math.sqrt(2.0)], [0.5, 0.5], 2.0)]
+        h, _ = _normalized(np.array([1e-300, 1.0]), np.array([0.5, 0.5]), -1e-300)
+        incumbents.append((h.tolist(), [0.5, 0.5], -1e-300))
         for k in range(2, 17):
             w = np.diff(np.linspace(0.0, 1.0, k + 1))
             for gamma in (-3.0, -1.0, 1e-300, 0.25, 0.5, 2.0, 7.0, 1e300):
@@ -535,7 +539,7 @@ class TestSearchExtremum:
                     tol = 1e-15 * (1.0 + abs(math.log(kappa)))
                     assert all(math.isclose(a, b, rel_tol=tol, abs_tol=5e-324)
                                for a, b in zip(cand, heights)), (h, gamma, cell, f)
-        assert reasons.keys() >= {"scalar", "hc not finite", "hc not positive", "overflow",
+        assert reasons.keys() >= {"scalar", "hc not finite", "hc 0 at gamma < 0", "overflow",
                                   "|S - 1| > 1/2"}
 
     @pytest.mark.parametrize("gamma, mode, evaluations", [(2.0, "max", 39), (-1.0, "min", 21)])
