@@ -119,6 +119,8 @@ def _add_bc_options(p):
 # each returns (JSON payload, CSV header, CSV rows); main formats one of them
 
 def _cmd_eig(args):
+    if args.eigenfunction is not None and args.format == "csv":
+        raise CLIError("--eigenfunction needs --format json: the CSV row has no samples")
     q = _parse_potential(args)
     result = lambda1(q, _bc(args), eigenfunction_samples=args.eigenfunction)
     row = [result.lambda1, result.residual, *result.bracket, result.iterations]

@@ -25,12 +25,13 @@ same walk over the cells cut at the samples too.
 
 The independent cross-check ``lambda1_fd`` discretizes the quadratic form by
 P1 finite elements on a mesh fitted to the breakpoints and mass sites and on
-its bisection, and returns their Richardson extrapolation, O(h^4).  Each mesh
-holds lambda_1^h in a certified bracket [sigma, RQ]: a passing LAPACK dpttrf
-of K - sigma M and the Rayleigh quotient of an inverse-iteration vector.  On
-the benchmark's crosscheck inputs it takes a median of 10 factorizations and
-about 1.2 ms at 4096 nodes.  ``lambda1_zero`` evaluates the zero-potential
-eigenvalue from its characteristic equation.
+its bisection, and returns their Richardson extrapolation, O(h^4).  Both
+meshes are solved alike and each holds lambda_1^h in a certified bracket
+[sigma, RQ]: a passing LAPACK dpttrf of K - sigma M and the Rayleigh quotient
+of an inverse-iteration vector.  On the benchmark's crosscheck inputs it
+takes a median of 6 factorizations and about 0.8 ms at 4096 nodes.
+``lambda1_zero`` evaluates the zero-potential eigenvalue from its
+characteristic equation.
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def lambda1_fd(q, bc: RobinBC, n_nodes: int) -> float:
     (``_p1_brackets``).  Each element has one height and each mass sits on a
     node, so the P1 error expands in h^2, h^4 (Strang & Fix, "An Analysis of
     the Finite Element Method", 1973).  On the ``crosscheck`` inputs: a median
-    of 10 factorizations and 4 solves, about 1.2 ms at 4096 nodes (2-core
+    of 6 factorizations and 5 solves, about 0.8 ms at 4096 nodes (2-core
     x86_64), within 3.2e-13 of the exact eigenvalue.  Raises BracketNotFound
     when a shift, or a matrix dpttrf passes, is not finite."""
     (_, a), (_, b) = _p1_brackets(q, bc, n_nodes)
@@ -426,7 +427,7 @@ class _P1:
         self.md = np.append(hm, 0.0) + np.append(0.0, hm)
 
     def factor(self, sigma: float):
-        """(log det, d, e) of K - sigma M = L diag(d) L^T, or None if not definite."""
+        """(d, e) of K - sigma M = L diag(d) L^T, or None if not definite."""
         from scipy.linalg.lapack import dpttrf  # here: at the top it doubles import time
 
         with np.errstate(over="ignore"):  # an overflow is rejected below
@@ -434,10 +435,9 @@ class _P1:
                                 overwrite_d=1, overwrite_e=1)
         if info:
             return None
-        log_det = float(np.log(d).sum())
-        if not math.isfinite(log_det):  # dpttrf passes an overflowed +inf diagonal
+        if not np.isfinite(d).all():  # dpttrf passes an overflowed +inf diagonal
             raise BracketNotFound(f"K - sigma M is not finite at sigma = {sigma!r}")
-        return log_det, d, e
+        return d, e
 
     def mass(self, v: np.ndarray) -> np.ndarray:
         r = self.md * v
@@ -455,29 +455,29 @@ class _P1:
                + self.bc.k1sq * v[-1] ** 2 - np.dot(self.s, m) - np.dot(self.wn, v * v))
         return float(num / m.sum())
 
-    def inverse_iteration(self, sigma: float, factors, v: np.ndarray):
+    def inverse_iteration(self, sigma: float, factors, v: np.ndarray, tol: float = 1e-12):
         """(v, RQ) after steps w = mu (K - sigma M)^-1 M v; mu = 1e-2 max(1, |sigma|)
         keeps w in range.  sigma + mu v^T M v / w^T M v is above
         sigma + mu w^T M v / w^T M w (Cauchy-Schwarz) by about v's error
-        squared; it stops once that is 1e-12 max(1, |lambda|), or at 64."""
+        squared; it stops once that is tol max(1, |lambda|), or at 64."""
         from scipy.linalg.lapack import dpttrs
 
         mu, mv = 1e-2 * max(1.0, abs(sigma)), self.mass(v)
         for _ in range(64):
-            w, _ = dpttrs(factors[1], factors[2], mu * mv)
+            w, _ = dpttrs(*factors, mu * mv)
             mw = self.mass(w)
             wmv, wmw = float(np.dot(w, mv)), float(np.dot(w, mw))
             gap = mu * (float(np.dot(v, mv)) / wmv - wmv / wmw)
             v, mv = w / math.sqrt(wmw), mw / math.sqrt(wmw)
-            if gap <= 1e-12 * max(1.0, abs(sigma + mu * wmv / wmw)):
+            if gap <= tol * max(1.0, abs(sigma + mu * wmv / wmw)):
                 break
         return v, self.rayleigh(v)
 
     def definite_below(self, hi: float, step: float):
-        """(sigma, factors, last failed shift or hi): steps down, doubling, to a pass."""
+        """(sigma, factors): steps down from hi, doubling, to a passing dpttrf."""
         while math.isfinite(lo := hi - step):
             if (factors := self.factor(lo)) is not None:
-                return lo, factors, hi
+                return lo, factors
             hi, step = lo, 2.0 * step
         raise BracketNotFound("finite-element lower bracket end is not finite")
 
@@ -487,42 +487,28 @@ def _p1_brackets(q, bc: RobinBC, n_nodes: int) -> list[tuple[float, float]]:
     passing certifies sigma < lambda_1^h (Sylvester's law of inertia), and
     RQ, a P1 function's quotient, bounds lambda_1^h and lambda_1 (min-max).
 
-    Coarse: below the constant's quotient k0^2 + k1^2 - int q - sum w, a
-    free hi, a descent to a passing shift starts the determinant search
-    (Bathe & Wilson, 1976), run to a width of 1e-2 * max(1, |lo|, |hi|):
-    the secant through the last two certified lo of log det (the sum of
-    the log pivots) stays left of the root, as det(K - sigma M) is convex
-    there.  Inverse iteration at lo gives the eigenvector.  Fine: the coarse
-    RQ bounds the fine lambda_1^h, so one factorization at
-    RQ - 1e-4 * max(1, |RQ|) (lower if dpttrf fails) and inverse iteration
-    from the coarse vector finish it."""
+    Each mesh is solved alike (Parlett, "The Symmetric Eigenvalue Problem",
+    1980): a shift stepped down from an upper bound, doubling, until dpttrf
+    passes, then inverse iteration from a start vector.  The coarse mesh
+    does it twice: from the constant, whose quotient k0^2 + k1^2 - int q -
+    sum w is a free upper bound (first step max(1, 1e-3 |quotient|)), only
+    to a gap of 1e-3 max(1, |lambda|); then from that vector, 1e-4
+    max(1, |RQ|) below its RQ, to the full 1e-12.  The spaces are nested,
+    so the coarse RQ bounds the fine lambda_1^h: the fine mesh shifts as far
+    below it and starts from the coarse vector."""
     if n_nodes < 32:
         raise ValueError("n_nodes must be >= 32")
     p1 = _fitted(q, bc, n_nodes)
-    with np.errstate(over="ignore"):  # a non-finite hi is rejected below it
-        hi = bc.k0sq + bc.k1sq - float(np.dot(p1.s, p1.h)) - float(p1.wn.sum())
-    lo, factors, hi = p1.definite_below(hi, max(1.0, 1e-3 * abs(hi)))
-    pd = [(lo, factors[0])]  # (sigma, log det) at the last two certified lo
-    width_2 = width_1 = math.inf
-    while (width := hi - lo) > 1e-2 * max(1.0, abs(lo), abs(hi)):
-        t = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
-        if len(pd) == 2 and width <= 0.5 * width_2:
-            (x0, l0), (x1, l1) = pd
-            # the secant root of det, or the last advance where rounding stalls log det
-            step = (x1 - x0) / math.expm1(min(l0 - l1, 700.0)) if l0 > l1 else x1 - x0
-            if step < 0.25 * width:
-                step *= 2.0
-            t = lo + step if lo < lo + step < hi else t
-        width_2, width_1 = width_1, width
-        if (f_t := p1.factor(t)) is None:
-            hi = t
-        else:
-            lo, factors, pd = t, f_t, [pd[-1], (t, f_t[0])]
-    v, a = p1.inverse_iteration(lo, factors, np.ones(p1.x.size))
+    with np.errstate(over="ignore"):  # a non-finite quotient is rejected below it
+        rq = bc.k0sq + bc.k1sq - float(np.dot(p1.s, p1.h)) - float(p1.wn.sum())
+    lo, factors = p1.definite_below(rq, max(1.0, 1e-3 * abs(rq)))
+    v, rq = p1.inverse_iteration(lo, factors, np.ones(p1.x.size), 1e-3)
+    lo, factors = p1.definite_below(rq, 1e-4 * max(1.0, abs(rq)))
+    v, a = p1.inverse_iteration(lo, factors, v)
     wn = np.zeros(2 * p1.x.size - 1)
     wn[::2] = p1.wn
     fine = _P1(bc, _bisect(p1.x), np.repeat(p1.s, 2), wn)  # holds the coarse space
-    sigma, factors, _ = fine.definite_below(a, 1e-4 * max(1.0, abs(a)))
+    sigma, factors = fine.definite_below(a, 1e-4 * max(1.0, abs(a)))
     return [(lo, a), (sigma, fine.inverse_iteration(sigma, factors, _bisect(v))[1])]
 
 

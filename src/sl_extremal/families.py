@@ -59,6 +59,8 @@ class VerificationError(RuntimeError):
 
 
 CSV_HEADER = ["n_or_rho", "lambda1", "reference", "gap"]
+_CEILING_TOL = 1e-8  # verify_thm2: slack on the ceiling and on the gap's decrease
+_MEMBERSHIP_TOL = 1e-10  # verify_thm1: largest | ||q||_gamma - 1 | of a train
 
 
 @dataclass(frozen=True)
@@ -239,18 +241,13 @@ def statement2_family(spec: SpikeTrainSpec, gamma: float) -> tuple[StepPotential
 
 # --- verification protocols --------------------------------------------------
 
-def verify_thm2(
-    gamma: float,
-    bc: RobinBC,
-    n_list,
-    *,
-    ceiling_tol: float = 1e-8,
-) -> ConvergenceTable:
+def verify_thm2(gamma: float, bc: RobinBC, n_list) -> ConvergenceTable:
     """Track lambda_1 along the shrinking-block family for gamma > 1.
 
     Rows are (n, lambda_1(q_n), lambda_1(0), gap).  Every eigenvalue must stay
     below the zero-potential value (the supremum over A_gamma) and the gap
-    must not increase along n; violations raise VerificationError.
+    must not increase along n, each up to 1e-8; violations raise
+    VerificationError.
     """
     if not gamma > 1.0:
         raise ValueError("gamma must be > 1")
@@ -266,12 +263,12 @@ def verify_thm2(
 
     rows = [row(n) for n in ns]
     for r in rows:
-        if r.lambda1 > lam0 + ceiling_tol:
+        if r.lambda1 > lam0 + _CEILING_TOL:
             raise VerificationError(
                 f"lambda1 = {r.lambda1!r} exceeds the ceiling {lam0!r} at n = {r.n_or_rho:g}"
             )
     for prev, nxt in zip(rows, rows[1:]):
-        if nxt.gap > prev.gap + ceiling_tol:
+        if nxt.gap > prev.gap + _CEILING_TOL:
             raise VerificationError(
                 f"gap grew from {prev.gap!r} (n={prev.n_or_rho:g}) "
                 f"to {nxt.gap!r} (n={nxt.n_or_rho:g})"
@@ -311,13 +308,12 @@ def verify_thm1(
     floor: float = 0.1,
     nu: float | None = None,
     slack_fraction: float = 0.5,
-    membership_tol: float = 1e-10,
 ) -> ConvergenceTable:
     """Certify that lambda_1 is unbounded below over A_gamma for gamma < 1.
 
     For each requested level rho* the protocol builds a normalized spike
-    train in A_gamma (certified by its gamma-norm) and demands
-    lambda_1(q) <= lambda_1(0) - rho* + slack_fraction * rho*; the slack
+    train in A_gamma (certified by its gamma-norm, within 1e-10 of 1) and
+    demands lambda_1(q) <= lambda_1(0) - rho* + slack_fraction * rho*; the slack
     absorbs the finite-train approximation of the constant level and must lie
     in [0, 1), as slack_fraction >= 1 makes the bound vacuous.  Rows are
     (rho*, lambda_1(q), lambda_1(0) - rho*, reference - lambda_1).
@@ -341,7 +337,7 @@ def verify_thm1(
         spec = _tune_spike_train(level, floor, spikes, nu)
         q, kappa = statement2_family(spec, gamma)
         membership = abs(pnorm(q, gamma) - 1.0)
-        if membership > membership_tol:
+        if membership > _MEMBERSHIP_TOL:
             raise VerificationError(
                 f"constructed potential misses A_gamma by {membership:.3e}"
             )

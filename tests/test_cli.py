@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 from sl_extremal import lambda1_zero, RobinBC
+from sl_extremal import cli
 from sl_extremal.cli import main
 from sl_extremal.jsonio import dumps, fmt_float, to_csv
 
@@ -61,6 +62,20 @@ class TestEig:
         assert code == 0
         payload = check_schema(out)
         assert len(payload["eigenfunction_samples"]) == 9
+
+    def test_eigenfunction_csv_rejected_before_the_solve(self, capsys, monkeypatch):
+        # the CSV row has no samples, so nothing would print them
+        def never(*args, **kwargs):
+            raise AssertionError("lambda1 called")
+
+        monkeypatch.setattr(cli, "lambda1", never)
+        code, out, err = run_cli(
+            capsys, "eig", "--q-json", Q_STEP, "--k0sq", "0", "--k1sq", "0",
+            "--eigenfunction", "8", "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert check_schema(err)["code"] == 2
 
     def test_delta_potential_accepted(self, capsys):
         code, out, _ = run_cli(
@@ -176,6 +191,7 @@ class TestWdist:
 class TestStartup:
     SCRIPT = """
 import contextlib, io, sys
+from sl_extremal import cli
 from sl_extremal.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
@@ -205,7 +221,7 @@ print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpma
         assert proc.stdout.splitlines() == [
             '{"wminus1_dist":1.0401810933050679}',
             "[0, 0, 0] False",
-            "-3.1486812579155536 True False",
+            "-3.1486812579155528 True False",
         ]
 
 
