@@ -8,7 +8,6 @@ finite-element discretization, and closes the loop with a Rayleigh quotient.
 """
 
 from sl_extremal import (
-    Potential,
     RobinBC,
     StepPotential,
     lambda1,
@@ -32,7 +31,7 @@ print(f"lambda1(q)      = {res.lambda1:.10f}")
 print(f"FEM cross-check = {lambda1_fd(q, bc, 4096):.10f}")
 
 print("\n== the same potential plus a point mass at x = 0.4 ==")
-qd = Potential(q, [(0.4, 2.0)])
+qd = StepPotential(q.breakpoints, q.heights, [(0.4, 2.0)])
 res_d = lambda1(qd, bc, eigenfunction_samples=512)
 print(f"lambda1(q + 2*delta_0.4) = {res_d.lambda1:.10f}")
 print("extra attraction lowers the eigenvalue:",

@@ -172,15 +172,8 @@ def _cmd_family(args):
 
 
 def _cmd_verify_thm1(args):
-    table = verify_thm1(
-        args.gamma,
-        _bc(args),
-        _float_list(args.rho, "rho"),
-        spikes=args.spikes,
-        floor=args.floor,
-        nu=args.nu,
-        slack_fraction=args.slack_fraction,
-    )
+    table = verify_thm1(args.gamma, _bc(args), _float_list(args.rho, "rho"),
+                        spikes=args.spikes)
     payload = {"rows": table.to_dicts(), "details": list(table.details)}
     return payload, CSV_HEADER, [r.as_list() for r in table.rows]
 
@@ -197,8 +190,6 @@ def _cmd_search(args):
         cells=args.cells,
         max_iters=args.max_iters,
         step_init=args.step_init,
-        step_shrink=args.step_shrink,
-        step_min=args.step_min,
         height_cap=args.height_cap,
     )
     result = search_extremum(spec, _bc(args))
@@ -251,9 +242,6 @@ def build_parser() -> _Parser:
     _add_bc_options(p)
     p.add_argument("--rho", required=True, help="comma-separated target levels")
     p.add_argument("--spikes", type=int, default=100)
-    p.add_argument("--floor", type=float, default=0.1)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--slack-fraction", type=float, default=0.5)
 
     p = _add_command(sub, "verify-thm2", _cmd_verify_thm2,
                      "track the supremum trend (gamma > 1)", "csv")
@@ -268,8 +256,6 @@ def build_parser() -> _Parser:
     _add_bc_options(p)
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--step-init", type=float, default=1.0)
-    p.add_argument("--step-shrink", type=float, default=0.5)
-    p.add_argument("--step-min", type=float, default=1e-3)
     p.add_argument("--height-cap", type=float, default=float("inf"))
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the output; the search itself is deterministic")

@@ -61,6 +61,9 @@ class VerificationError(RuntimeError):
 CSV_HEADER = ["n_or_rho", "lambda1", "reference", "gap"]
 _CEILING_TOL = 1e-8  # verify_thm2: slack on the ceiling and on the gap's decrease
 _MEMBERSHIP_TOL = 1e-10  # verify_thm1: largest | ||q||_gamma - 1 | of a train
+_FLOOR = 0.1  # verify_thm1: constant floor under every spike train
+_SLACK = 0.5  # verify_thm1: certifies lambda_1 <= lambda_1(0) - (1 - _SLACK) rho*
+_STEP_MIN = 1e-3  # search_extremum: stops once its step falls below this
 
 
 @dataclass(frozen=True)
@@ -94,28 +97,6 @@ class ConvergenceTable:
 
 # --- the explicit families ---------------------------------------------------
 
-def _aligned_support(zeta: float, width: float) -> tuple[float, float]:
-    """Support [x1, x2] of length ``width`` ending near zeta.
-
-    The loop settles the endpoints so that x1 + width rounds to x2 and
-    x2 - width rounds to x1 (or x1 is clipped to 0).  The exact length
-    x2 - x1 still equals ``width`` only up to half an ulp of x2, at most
-    2^-54: at width = 1e-6, zeta = 1/2 it is 2.7e-17 short.
-    """
-    x1 = max(zeta - width, 0.0)
-    x2 = x1 + width
-    for _ in range(6):
-        x1n = max(x2 - width, 0.0)
-        x2n = x1n + width
-        if x1n == x1 and x2n == x2:
-            break
-        x1, x2 = x1n, x2n
-    if x2 > 1.0:
-        x2 = 1.0
-        x1 = 1.0 - width
-    return x1, x2
-
-
 def _spike_step(x1: float, x2: float, height: float) -> StepPotential:
     pts = [0.0]
     heights = []
@@ -138,7 +119,7 @@ def statement1_family(zeta: float, n: int, gamma: float) -> tuple[StepPotential,
     n^((gamma-1)/gamma), which is < 1 for gamma in (0, 1) and shrinks to 0 as
     n grows even though the spike converges to a unit point mass.  That value
     is the norm of a spike exactly 1/n wide; the built spike's float
-    endpoints make its width off by up to 2^-54 (see ``_aligned_support``),
+    endpoints make its width off by up to half an ulp of x2, at most 2^-54,
     so ``pnorm`` of it can differ from the returned value by up to about
     n * 2^-54 / gamma relative (1.07e-10 at n = 1e6, zeta = 1/2, gamma = 1/4).
     """
@@ -149,7 +130,14 @@ def statement1_family(zeta: float, n: int, gamma: float) -> tuple[StepPotential,
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
     width = 1.0 / n
-    x1, x2 = _aligned_support(zeta, width)
+    # x2 - width rounds back to x1, so the endpoints need no settling.  For
+    # zeta <= 2 width, x1 is 0 or zeta - width exactly (Sterbenz).  Otherwise
+    # x1 + width lies within half an ulp of zeta; it ties only where zeta -
+    # width tied too, which left x1 even, so x2 - width rounds to x1 again.
+    # x1 + width <= (1 - width + 2^-54) + width rounds to at most 1, so the
+    # support needs no clip into [0, 1].
+    x1 = max(zeta - width, 0.0)
+    x2 = x1 + width
     gamma_norm = float(n) ** ((gamma - 1.0) / gamma)
     return _spike_step(x1, x2, float(n)), gamma_norm
 
@@ -299,23 +287,14 @@ def statement2_budget(spec: SpikeTrainSpec) -> float:
     return integral ** (1.0 / spec.nu)
 
 
-def verify_thm1(
-    gamma: float,
-    bc: RobinBC,
-    rho_list,
-    *,
-    spikes: int = 100,
-    floor: float = 0.1,
-    nu: float | None = None,
-    slack_fraction: float = 0.5,
-) -> ConvergenceTable:
+def verify_thm1(gamma: float, bc: RobinBC, rho_list, *, spikes: int = 100) -> ConvergenceTable:
     """Certify that lambda_1 is unbounded below over A_gamma for gamma < 1.
 
-    For each requested level rho* the protocol builds a normalized spike
-    train in A_gamma (certified by its gamma-norm, within 1e-10 of 1) and
-    demands lambda_1(q) <= lambda_1(0) - rho* + slack_fraction * rho*; the slack
-    absorbs the finite-train approximation of the constant level and must lie
-    in [0, 1), as slack_fraction >= 1 makes the bound vacuous.  Rows are
+    For each requested level rho* the protocol builds a normalized train of
+    ``spikes`` spikes over the floor 0.1, tuned with nu = (gamma^+ + 1)/2,
+    certifies it in A_gamma by its gamma-norm (within 1e-10 of 1), and
+    demands lambda_1(q) <= lambda_1(0) - rho* + rho*/2; the slack rho*/2
+    absorbs the finite-train approximation of the constant level.  Rows are
     (rho*, lambda_1(q), lambda_1(0) - rho*, reference - lambda_1).
     """
     if gamma == 0.0 or gamma >= 1.0:
@@ -327,14 +306,11 @@ def verify_thm1(
         raise ValueError("levels must exceed 1")
     if spikes < 1:
         raise ValueError("need at least one spike")
-    if not 0.0 <= slack_fraction < 1.0:
-        raise ValueError("slack_fraction must lie in [0, 1)")
-    if nu is None:
-        nu = 0.5 * (max(gamma, 0.0) + 1.0)
+    nu = 0.5 * (max(gamma, 0.0) + 1.0)
     lam0 = lambda1_zero(bc)
 
     def row(level: float) -> tuple[TableRow, dict]:
-        spec = _tune_spike_train(level, floor, spikes, nu)
+        spec = _tune_spike_train(level, _FLOOR, spikes, nu)
         q, kappa = statement2_family(spec, gamma)
         membership = abs(pnorm(q, gamma) - 1.0)
         if membership > _MEMBERSHIP_TOL:
@@ -343,7 +319,7 @@ def verify_thm1(
             )
         lam = lambda1(q, bc).lambda1
         reference = lam0 - level
-        bound = reference + slack_fraction * level
+        bound = reference + _SLACK * level
         if lam > bound:
             raise VerificationError(
                 f"lambda1 = {lam!r} above the certified bound {bound!r} "
@@ -376,8 +352,9 @@ class ExtremumSearchSpec:
     renormalize back onto A_gamma, so every iterate satisfies the constraint
     exactly.  A proposal is accepted only when its lambda_1 lies strictly
     beyond the incumbent's in the search direction (see ``search_extremum``).
-    The step shrinks after a full sweep without improvement and the search
-    stops at max_iters or once step < step_min.
+    The step halves after 2 * cells rejections in a row, a full sweep
+    without improvement, and the search stops at max_iters or once the step
+    falls below 1e-3.
     """
 
     gamma: float
@@ -385,8 +362,6 @@ class ExtremumSearchSpec:
     cells: int
     max_iters: int = 200
     step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_min: float = 1e-3
     height_cap: float = math.inf
     start: StepPotential | None = None
 
@@ -399,10 +374,8 @@ class ExtremumSearchSpec:
             raise ValueError("need at least 2 cells")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.step_init < math.inf or not 0.0 < self.step_shrink < 1.0:
+        if not 0.0 < self.step_init < math.inf:
             raise ValueError("invalid step schedule")
-        if not self.step_min > 0:
-            raise ValueError("step_min must be positive")
         if not self.height_cap > 0:
             raise ValueError("height_cap must be positive")
 
@@ -480,7 +453,9 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     height has the term -1 at gamma > 0).  A proposal is rejected if the
     normalization fails or a height overflows, and otherwise costs one walk.
     The trace therefore holds only theta-confirmed improvements and is
-    strictly monotone; ``evaluations`` counts the proposals evaluated.
+    strictly monotone; ``evaluations`` counts the proposals evaluated.  After
+    2 * cells rejections in a row the step halves, and the search ends once
+    it falls below 1e-3 or after ``max_iters`` proposals.
     """
     if spec.start is not None:
         if spec.start.heights.size != spec.cells:
@@ -537,9 +512,9 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
             else:
                 rejects += 1
         if rejects >= 2 * k:
-            step *= spec.step_shrink
+            step *= 0.5
             rejects = 0
-            if step < spec.step_min:
+            if step < _STEP_MIN:
                 break
 
     return SearchResult(StepPotential(q.breakpoints, h), best_lam, tuple(trace), evaluations)

@@ -4,13 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 import warnings
 
 import jsonschema
 import pytest
 
 from sl_extremal import lambda1_zero, RobinBC
-from sl_extremal import cli
+from sl_extremal import cli, families
 from sl_extremal.cli import main
 from sl_extremal.jsonio import dumps, fmt_float, to_csv
 
@@ -297,6 +298,50 @@ class TestVerifyCommands:
         )
         assert code == 0
         check_schema(out)
+
+
+def _thm1_membership_missed(monkeypatch):
+    # only the gamma-norm (p = 0.5) moves; the nu-norm budget (p = 0.75) holds
+    pnorm = families.pnorm
+    monkeypatch.setattr(families, "pnorm",
+                        lambda q, p: pnorm(q, p) + (2e-10 if p == 0.5 else 0.0))
+    return "verify-thm1", "misses A_gamma"
+
+
+def _thm1_bound_missed(monkeypatch):
+    monkeypatch.setattr(families, "lambda1", lambda q, bc: SimpleNamespace(lambda1=lambda1_zero(bc)))
+    return "verify-thm1", "above the certified bound"
+
+
+def _thm2_ceiling_exceeded(monkeypatch):
+    monkeypatch.setattr(families, "lambda1",
+                        lambda q, bc: SimpleNamespace(lambda1=lambda1_zero(bc) + 2e-8))
+    return "verify-thm2", "exceeds the ceiling"
+
+
+def _thm2_gap_grew(monkeypatch):
+    # the block on (0, 1/n) has its breakpoint at 1/n, so n = 1/breakpoint
+    monkeypatch.setattr(families, "lambda1", lambda q, bc: SimpleNamespace(
+        lambda1=lambda1_zero(bc) - 1e-6 / q.breakpoints[1]))
+    return "verify-thm2", "gap grew"
+
+
+class TestCertificateFailures:
+    # each check of a certificate, made to fail: the protocol must raise and
+    # the CLI must report exit 3 with one JSON error line
+    ARGV = {"verify-thm1": ("--gamma", "0.5", "--k0sq", "0", "--k1sq", "0", "--rho", "10"),
+            "verify-thm2": ("--gamma", "2", "--k0sq", "1", "--k1sq", "1", "--n", "2,4")}
+
+    @pytest.mark.parametrize("fault", [_thm1_membership_missed, _thm1_bound_missed,
+                                       _thm2_ceiling_exceeded, _thm2_gap_grew],
+                             ids=["thm1-membership", "thm1-bound", "thm2-ceiling", "thm2-gap"])
+    def test_a_failed_check_exits_3(self, capsys, monkeypatch, fault):
+        command, message = fault(monkeypatch)
+        code, out, err = run_cli(capsys, command, *self.ARGV[command])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = check_schema(err)
+        assert payload["code"] == 3 and message in payload["error"]
 
 
 class TestSearch:

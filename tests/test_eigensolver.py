@@ -635,12 +635,12 @@ class TestDeterminantSearch:
         assert got == pytest.approx(-height, rel=1e-12, abs=0.0)
 
     def test_overflowing_shifted_diagonal_is_not_certified(self):
-        # the lower doubling reaches sigma = -max float, where the mass node's
-        # diagonal overflows to +inf, which dpttrf factors with info 0
-        q = StepPotential([0.0, 1.0], [1e308], [(0.5, -1.79e308)])
+        # the shift below the quotient is finite, but the mass node's diagonal
+        # overflows to +inf there, which dpttrf factors with info 0
+        q = StepPotential([0.0, 1.0], [5e307], [(0.5, -1.79e308)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BracketNotFound, match="not finite"):
+            with pytest.raises(BracketNotFound, match="K - sigma M is not finite"):
                 lambda1_fd(q, BC00, 32)
 
 
