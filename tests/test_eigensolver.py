@@ -24,6 +24,7 @@ from sl_extremal import (
     verify_thm1,
 )
 
+from sl_extremal import eigensolver
 from sl_extremal.eigensolver import _arccot, _bisect, _fitted, _p1_brackets
 from sl_extremal.potentials import _cell_values
 
@@ -227,26 +228,42 @@ class TestLambda1:
         assert lambda1(large, BC11).lambda1 < lambda1(small, BC11).lambda1
 
     def test_bracket_not_found_when_expansion_capped(self):
-        # lambda_1 = -max float: the last finite doubling from [-1, 1] stops
-        # one ulp short of it, and the next end is -inf
+        # lambda_1 = -max float is the constant's quotient, and 1 % below it
+        # is not finite: the search starts from [-1, 1], whose last finite
+        # doubling stops one ulp short of it, and the next end is -inf
         with pytest.raises(BracketNotFound, match="lower bracket endpoint after 1022 expansions"):
             lambda1(StepPotential.constant(sys.float_info.max), BC00)
 
-    @pytest.mark.parametrize("heights, match", [
-        # the mirror image: the next upper end is +inf
-        ([-sys.float_info.max], "upper bracket endpoint after 1022 expansions"),
+    @pytest.mark.parametrize("heights, match, bc", [
+        # lambda_1 = max float + lambda_1(0) rounds to max float, where theta
+        # is below its target: the next upper end is +inf
+        ([-sys.float_info.max], "upper bracket endpoint after 0 expansions", BC11),
         # lambda_1 is about -1e308, where lam + q overflows on the middle cell
-        ([1e308, -1e308, 1e308], "lower bracket endpoint after 1020 expansions"),
+        ([1e308, -1e308, 1e308], "lower bracket endpoint after 6 expansions", BC00),
     ])
-    def test_bracket_not_found_where_theta_overflows(self, heights, match):
+    def test_bracket_not_found_where_theta_overflows(self, heights, match, bc):
         with pytest.raises(BracketNotFound, match=match):
-            lambda1(StepPotential.from_uniform_cells(heights), BC00)
+            lambda1(StepPotential.from_uniform_cells(heights), bc)
 
-    @pytest.mark.parametrize("height", [5e18, 1e30, 1.7e308, -1e308])
+    @pytest.mark.parametrize("height", [5e18, 1e30, 1.7e308, 1.78e308, -1e308,
+                                        -sys.float_info.max])
     def test_huge_constant_is_bracketed(self, height):
-        # beyond sixty doublings from [-1, 1], which reach about -+4.6e18
+        # the start ends at the constant's quotient -height, the exact root;
+        # 1 % below -1.78e308 is -inf, so that start is clamped to -max float
         res = lambda1(StepPotential.constant(height), BC00)
-        assert res.lambda1 == pytest.approx(-height, rel=1e-13, abs=0.0)
+        assert res.lambda1 == -height
+
+    def test_quotient_that_overflows_starts_from_the_unit_bracket(self):
+        # k0^2 + k1^2 = 2e308 is +inf; lambda_1 is the Dirichlet pi^2 to 1e-300
+        res = lambda1(StepPotential.constant(0.0), RobinBC(1e308, 1e308))
+        assert res.lambda1 == pytest.approx(math.pi**2, rel=1e-13, abs=0.0)
+
+    def test_start_end_where_theta_overflows(self):
+        # the quotient is -8.5e307, and 1 % below it lam + q overflows on the
+        # last cell: theta there is not finite, and nothing iterates on it
+        q = StepPotential.from_uniform_cells([1.7e308, 1.7e308, 1.7e308, -1.7e308])
+        with pytest.raises(BracketNotFound, match="lower bracket endpoint after 0 expansions"):
+            lambda1(q, BC00)
 
     def test_result_serialization(self):
         res = lambda1(StepPotential.constant(2.0), BC11, eigenfunction_samples=16)
@@ -407,6 +424,47 @@ class TestFiftyDigitReference:
             lam = lambda1(pot, BC11).lambda1
             root = self._root(pot, BC11, lam)
             assert abs(lam - root) <= 1e-13 * abs(root)
+
+    @pytest.mark.parametrize("pot, bc", [
+        (StepPotential([0.0, 0.5, 1.0], [2.0, 0.5]), BC11),
+        (StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0]), RobinBC(1.0, 4.0)),
+    ])
+    def test_small_potentials(self, pot, bc):
+        lam = lambda1(pot, bc).lambda1
+        root = self._root(pot, bc, lam)
+        assert abs(lam - root) <= 1e-13 * max(1.0, abs(root))  # the stop width
+
+
+class TestEvaluationBudget:
+    """theta-evaluations per solve: Brent's method from the constant's
+    quotient, against Illinois regula falsi from [-1, 1] (in parentheses)."""
+
+    @staticmethod
+    def _walks(monkeypatch, q, bc):
+        calls = []
+        original = eigensolver._theta_end_prepared
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(eigensolver, "_theta_end_prepared", counted)
+        lambda1(q, bc)
+        return len(calls)
+
+    @pytest.mark.parametrize("q, bc, budget", [
+        # the two cells of the CLI examples (21) and the README potential (11)
+        (StepPotential([0.0, 0.5, 1.0], [2.0, 0.5]), BC11, 8),
+        (StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0]), RobinBC(1.0, 4.0), 10),
+    ])
+    def test_small_potentials(self, monkeypatch, q, bc, budget):
+        assert self._walks(monkeypatch, q, bc) <= budget
+
+    def test_certificate_train(self, monkeypatch):
+        # the gamma = 1/2, rho* = 1000 row of verify_thm1 (31): lambda_1 is
+        # 8.9 % below the quotient, three doublings of its 1 % start width
+        spec = SpikeTrainSpec(1000.0, 0.1, 100, 1e13, 0.75)
+        assert self._walks(monkeypatch, statement2_family(spec, 0.5)[0], BC00) <= 24
 
 
 class TestEigenfunction:

@@ -5,12 +5,14 @@ Inputs are step + delta potentials with heights and weights log-uniform up to
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sl_extremal import (
+    BracketNotFound,
     Potential,
     RobinBC,
     StepPotential,
@@ -81,6 +83,36 @@ def test_spectral_shift(q, bc, c):
     shifted = StepPotential(q.breakpoints, q.heights + c, q.deltas)
     lam = lambda1(q, bc).lambda1
     assert close(lambda1(shifted, bc).lambda1, lam - c, c)
+
+
+@PROPERTY
+@given(potentials(), bcs)
+def test_lambda1_lies_below_the_constant_quotient_in_a_closed_bracket(q, bc):
+    # the search starts at R = k0^2 + k1^2 - int q - sum w, the quotient of
+    # y = 1, which bounds lambda_1 from above (min-max) up to the stop width
+    res = lambda1(q, bc)
+    r = (bc.k0sq + bc.k1sq - float(np.dot(q.heights, q.widths))
+         - sum(d.weight for d in q.deltas))
+    assert res.lambda1 <= r + 1e-13 * max(1.0, abs(r))
+    lo, hi = res.bracket
+    assert lo < hi and hi - lo <= 1e-13 * max(1.0, abs(lo), abs(hi))
+    f_lo, f_hi = (theta_end(q, bc, x) - bc.theta_target for x in (lo, hi))
+    assert f_lo < 0.0 <= f_hi
+    assert (res.lambda1, res.residual) == ((lo, -f_lo) if -f_lo <= f_hi else (hi, f_hi))
+
+
+@PROPERTY
+@given(st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308, sys.float_info.max,
+                        -sys.float_info.max]), bcs)
+def test_huge_constant_solves_to_its_exact_root_or_raises(c, bc):
+    # lambda_1(0) <= pi^2 is below an ulp of c, so lambda_1(0) - c rounds
+    # to -c; a start end 1 % below the quotient must not carry a NaN in
+    try:
+        res = lambda1(StepPotential.constant(c), bc)
+    except BracketNotFound:
+        return
+    assert res.lambda1 == -c
+    assert res.bracket[0] < res.bracket[1]
 
 
 @pytest.mark.xfail(strict=True, reason="forward shooting loses the solution that decays "
