@@ -204,12 +204,11 @@ def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> Eige
     theta(1; lambda) = pi - arccot(k1^2) has exactly one solution.  The
     search starts from (R - max(1, 1e-2 |R|), R), where R = k0^2 + k1^2 -
     int q - sum w is the Rayleigh quotient of the constant function and so
-    bounds lambda_1 from above (min-max); the lower end is clamped to -max
-    float, and where R is not finite or the clamp leaves no interval the
-    search starts from (-1, 1).  ``_solve`` doubles the bracket outward
-    until it encloses the root and then runs Brent's method, which keeps
-    theta(1; lo) < target <= theta(1; hi) at every step and stops once the
-    bracket is at most 1e-13 * max(1, |lo|, |hi|) wide.  There is no
+    bounds lambda_1 from above (min-max), or from (-1, 1) where R is no
+    guide to lambda_1's scale (``_start``).  ``_solve`` doubles the bracket
+    outward until it encloses the root and then runs Brent's method, which
+    keeps theta(1; lo) < target <= theta(1; hi) at every step and stops
+    once the bracket is at most 1e-13 * max(1, |lo|, |hi|) wide.  There is no
     residual condition: theta is exact, so the residual
     |theta(1; lambda) - target| is rounding noise that a stiff potential can
     keep above any fixed tolerance.  The returned eigenvalue is the bracket
@@ -220,14 +219,37 @@ def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> Eige
     """
     cells, w0 = _segments(q)
     dy0 = bc.k0sq - w0
-    r = dy0 + bc.k1sq - sum(length * height + w for length, height, w in cells)
-    lo = max(r - max(1.0, 1e-2 * abs(r)), -sys.float_info.max)
-    start = (lo, r) if -math.inf < lo < r < math.inf else (-1.0, 1.0)  # False for NaN
-    res = _solve(cells, dy0, bc.theta_target, *start)
+    target = bc.theta_target
+    res = _solve(cells, dy0, target, *_start(cells, dy0, bc.k1sq, target))
     if eigenfunction_samples is None:
         return res
     return replace(res, eigenfunction_samples=_eigenfunction(
         q, dy0, res.lambda1, eigenfunction_samples))
+
+
+def _start(cells, dy0, k1sq, target):
+    """(lo, hi, f_lo or None) for ``_solve`` to start from.
+
+    R = k0^2 + k1^2 - int q - sum w, the quotient of y = 1, bounds lambda_1
+    from above, and (R - max(1, 1e-2 |R|), R) is the start, its lower end
+    clamped to -max float.  A lower end above 1 is kept only where theta
+    there is below the target: a root further down may lie at any scale
+    below R, and doubling down from R would enclose it in a bracket as wide
+    as R (Robin coefficients of 1e100 put R at 2e100 and lambda_1 near
+    pi^2).  There, and where R is not finite or the clamp leaves no
+    interval, the start is (-1, 1), doubled out to the root's scale.
+    """
+    r = dy0 + k1sq - sum(length * height + w for length, height, w in cells)
+    lo = max(r - max(1.0, 1e-2 * abs(r)), -sys.float_info.max)
+    if not -math.inf < lo < r:  # False for NaN too
+        return -1.0, 1.0, None
+    if lo <= 1.0:
+        return lo, r, None
+    try:
+        f_lo = _theta_end_prepared(cells, dy0, lo) - target
+    except (OverflowError, ValueError):  # lo + q overflows
+        return -1.0, 1.0, None
+    return (lo, r, f_lo) if f_lo < 0.0 else (-1.0, 1.0, None)
 
 
 def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:

@@ -258,12 +258,32 @@ class TestLambda1:
         res = lambda1(StepPotential.constant(0.0), RobinBC(1e308, 1e308))
         assert res.lambda1 == pytest.approx(math.pi**2, rel=1e-13, abs=0.0)
 
-    def test_start_end_where_theta_overflows(self):
+    @pytest.mark.parametrize("heights, match", [
         # the quotient is -8.5e307, and 1 % below it lam + q overflows on the
         # last cell: theta there is not finite, and nothing iterates on it
-        q = StepPotential.from_uniform_cells([1.7e308, 1.7e308, 1.7e308, -1.7e308])
-        with pytest.raises(BracketNotFound, match="lower bracket endpoint after 0 expansions"):
-            lambda1(q, BC00)
+        ([1.7e308, 1.7e308, 1.7e308, -1.7e308], "lower bracket endpoint after 0 expansions"),
+        # the quotient is 8.5e307, where theta overflows too: the search
+        # starts from (-1, 1) and doubles down towards lambda_1 near -1.7e308
+        ([-1.7e308, -1.7e308, -1.7e308, 1.7e308], "lower bracket endpoint after 1017 expansions"),
+    ])
+    def test_start_end_where_theta_overflows(self, heights, match):
+        with pytest.raises(BracketNotFound, match=match):
+            lambda1(StepPotential.from_uniform_cells(heights), BC00)
+
+    @pytest.mark.parametrize("k", [1e3, 1e100])
+    def test_robin_coefficients_far_above_the_root(self, k):
+        # the quotient 2k bounds lambda_1 < pi^2 only loosely: a bracket
+        # doubled down from it read lambda_1 = -3.6e17 at k = 1e100
+        res = lambda1(StepPotential.constant(0.0), RobinBC(k, k))
+        assert res.lambda1 == pytest.approx(lambda1_zero(RobinBC(k, k)), rel=1e-13, abs=0.0)
+
+    def test_barriers_far_above_the_root(self):
+        # heights -1e150 on 1e-12 wide cells at 1/4 and 3/4 cut [0, 1] into
+        # pieces whose first eigenvalue is 4 pi^2 each, far below the
+        # quotient 4e138, which says nothing of lambda_1's scale
+        q = StepPotential([0.0, 0.25, 0.25 + 1e-12, 0.75, 0.75 + 1e-12, 1.0],
+                          [0.0, -1e150, 0.0, -1e150, 0.0])
+        assert lambda1(q, BC00).lambda1 == pytest.approx(4.0 * math.pi**2, rel=1e-12)
 
     def test_result_serialization(self):
         res = lambda1(StepPotential.constant(2.0), BC11, eigenfunction_samples=16)
@@ -456,6 +476,8 @@ class TestEvaluationBudget:
         # the two cells of the CLI examples (21) and the README potential (11)
         (StepPotential([0.0, 0.5, 1.0], [2.0, 0.5]), BC11, 8),
         (StepPotential([0.0, 0.2, 0.7, 1.0], [8.0, 1.0, 3.0]), RobinBC(1.0, 4.0), 10),
+        # near the Dirichlet limit, where the quotient is 2e100 (23)
+        (StepPotential.constant(0.0), RobinBC(1e100, 1e100), 12),
     ])
     def test_small_potentials(self, monkeypatch, q, bc, budget):
         assert self._walks(monkeypatch, q, bc) <= budget
