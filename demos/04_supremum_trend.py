@@ -23,5 +23,7 @@ for n in (10, 1000):
 
 print("\n== eigenvalue trend (also available as `sl-extremal verify-thm2`) ==")
 table = verify_thm2(GAMMA, bc, [10, 100, 1000, 10000, 100000])
-print(table.to_csv())
+print(f"{'n':>8} {'lambda1':>18} {'lambda1(0)':>18} {'gap':>10}")
+for row in table.rows:
+    print(f"{row.n_or_rho:8g} {row.lambda1:18.10f} {row.reference:18.10f} {row.gap:10.3e}")
 print("gap shrinks monotonically toward 0; every row stays below the ceiling.")

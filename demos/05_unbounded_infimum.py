@@ -30,7 +30,9 @@ print(f"lambda1(q) = {lambda1(q, bc).lambda1:.4f}  (target level was -10)")
 
 print("\n== certified descent (also available as `sl-extremal verify-thm1`) ==")
 table = verify_thm1(GAMMA, bc, [10.0, 100.0, 1000.0])
-print(table.to_csv())
+print(f"{'rho*':>8} {'lambda1':>18} {'lambda1(0)-rho*':>18} {'gap':>10}")
+for row in table.rows:
+    print(f"{row.n_or_rho:8g} {row.lambda1:18.10f} {row.reference:18.10f} {row.gap:10.3e}")
 for detail in table.details:
     print(f"rho* = {detail['rho_star']:>6g}: spike height {detail['height']:.0e}, "
           f"kappa = {detail['kappa']:.4f}, "

@@ -5,7 +5,9 @@ to allocate included), 3 on computational failures (bracket expansion
 exhausted, spike-train norm budget exceeded, or a verification assertion
 violated).  Errors are reported as a one-line JSON object on stderr.  All
 floating-point output carries 17 significant digits, so identical
-invocations are byte-identical and every value round-trips.
+invocations are byte-identical and every value round-trips.  This module
+alone defines the output: its handlers build every JSON payload and CSV row
+from the library's result fields (``schemas/cli-output.schema.json``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from pathlib import Path
 
 from .eigensolver import BracketNotFound, RobinBC, lambda1, lambda1_zero
 from .families import (
-    CSV_HEADER,
     ExtremumSearchSpec,
     NormBudgetExceeded,
     SpikeTrainSpec,
@@ -62,7 +63,9 @@ def _parse_potential(args, prefix: str = "q", *, signed: bool = False,
         raise CLIError(f"--{prefix}-json and --{prefix}-file are mutually exclusive")
     text = inline if inline is not None else Path(path).read_text(encoding="utf-8")
     try:
-        q = StepPotential.from_dict(json.loads(text))
+        data = json.loads(text)
+        q = StepPotential(data["breakpoints"], data["heights"],
+                          [(d["site"], d["weight"]) for d in data.get("deltas", [])])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CLIError(f"invalid potential ({prefix}): {exc}") from exc
     if not signed and (q.heights.min() < 0.0 or any(w < 0.0 for _, w in q.deltas)):
@@ -118,14 +121,29 @@ def _add_bc_options(p):
 # --- handlers ----------------------------------------------------------------
 # each returns (JSON payload, CSV header, CSV rows); main formats one of them
 
+def _step_json(q: StepPotential) -> dict:
+    """JSON of a potential without point masses: ``family`` and ``search`` print no other."""
+    return {"breakpoints": q.breakpoints.tolist(), "heights": q.heights.tolist()}
+
+
+def _table(table) -> tuple[list[dict], list[str], list[list]]:
+    """(JSON rows, CSV header, CSV rows) of a verification table."""
+    header = ["n_or_rho", "lambda1", "reference", "gap"]
+    rows = [[r.n_or_rho, r.lambda1, r.reference, r.gap] for r in table.rows]
+    return [dict(zip(header, row)) for row in rows], header, rows
+
+
 def _cmd_eig(args):
     if args.eigenfunction is not None and args.format == "csv":
         raise CLIError("--eigenfunction needs --format json: the CSV row has no samples")
     q = _parse_potential(args)
     result = lambda1(q, _bc(args), eigenfunction_samples=args.eigenfunction)
+    payload = {"lambda1": result.lambda1, "residual": result.residual,
+               "bracket": result.bracket, "iterations": result.iterations}
+    if result.eigenfunction_samples is not None:
+        payload["eigenfunction_samples"] = result.eigenfunction_samples
     row = [result.lambda1, result.residual, *result.bracket, result.iterations]
-    return (result.to_dict(),
-            ["lambda1", "residual", "bracket_lo", "bracket_hi", "iterations"], [row])
+    return payload, ["lambda1", "residual", "bracket_lo", "bracket_hi", "iterations"], [row]
 
 
 def _cmd_eig_zero(args):
@@ -152,14 +170,14 @@ def _cmd_family(args):
             raise CLIError("statement 1 needs --zeta and --n")
         q, gamma_norm = statement1_family(args.zeta, args.n, args.gamma)
         payload = {"statement": 1, "gamma": args.gamma, "gamma_norm": gamma_norm,
-                   "q": q.to_dict()}
+                   "q": _step_json(q)}
     elif args.statement == 3:
         if args.n is None:
             raise CLIError("statement 3 needs --n")
         q = statement3_family(args.gamma, args.n)
         payload = {"statement": 3, "gamma": args.gamma,
                    "gamma_norm": pnorm(q, args.gamma), "mass": pnorm(q, 1.0),
-                   "q": q.to_dict()}
+                   "q": _step_json(q)}
     else:
         needed = (args.rho_star, args.height)
         if any(v is None for v in needed):
@@ -167,20 +185,20 @@ def _cmd_family(args):
         spec = SpikeTrainSpec(args.rho_star, args.floor, args.spikes, args.height, args.nu)
         q, kappa = statement2_family(spec, args.gamma)
         payload = {"statement": 2, "gamma": args.gamma, "kappa": kappa,
-                   "nu_norm": statement2_budget(spec), "q": q.to_dict()}
+                   "nu_norm": statement2_budget(spec), "q": _step_json(q)}
     return payload, None, None
 
 
 def _cmd_verify_thm1(args):
     table = verify_thm1(args.gamma, _bc(args), _float_list(args.rho, "rho"),
                         spikes=args.spikes)
-    payload = {"rows": table.to_dicts(), "details": list(table.details)}
-    return payload, CSV_HEADER, [r.as_list() for r in table.rows]
+    rows, *csv = _table(table)
+    return {"rows": rows, "details": table.details}, *csv
 
 
 def _cmd_verify_thm2(args):
-    table = verify_thm2(args.gamma, _bc(args), _int_list(args.n, "n"))
-    return {"rows": table.to_dicts()}, CSV_HEADER, [r.as_list() for r in table.rows]
+    rows, *csv = _table(verify_thm2(args.gamma, _bc(args), _int_list(args.n, "n")))
+    return {"rows": rows}, *csv
 
 
 def _cmd_search(args):
@@ -193,9 +211,9 @@ def _cmd_search(args):
         height_cap=args.height_cap,
     )
     result = search_extremum(spec, _bc(args))
-    payload = result.to_dict()
-    payload["seed"] = args.seed
-    return payload, ["iteration", "best_lambda"], [[i, v] for i, v in result.trace]
+    payload = {"best_lambda": result.best_lambda, "best_q": _step_json(result.best_q),
+               "evaluations": result.evaluations, "trace": result.trace, "seed": args.seed}
+    return payload, ["iteration", "best_lambda"], result.trace
 
 
 # one parser serves every main call in a process: each add_argument asks the

@@ -37,7 +37,7 @@ characteristic equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
 import sys
 
@@ -59,7 +59,7 @@ __all__ = [
 
 
 class BracketNotFound(RuntimeError):
-    """Bracket expansion exhausted without enclosing the eigenvalue."""
+    """No finite bracket encloses the eigenvalue, or it does not converge."""
 
 
 class ZeroFunction(ValueError):
@@ -95,20 +95,7 @@ class EigenResult:
     residual: float
     bracket: tuple[float, float]
     iterations: int
-    eigenfunction_samples: tuple[tuple[float, float], ...] | None = field(default=None)
-
-    def to_dict(self) -> dict:
-        out = {
-            "lambda1": float(self.lambda1),
-            "residual": float(self.residual),
-            "bracket": [float(self.bracket[0]), float(self.bracket[1])],
-            "iterations": int(self.iterations),
-        }
-        if self.eigenfunction_samples is not None:
-            out["eigenfunction_samples"] = [
-                [float(x), float(y)] for x, y in self.eigenfunction_samples
-            ]
-        return out
+    eigenfunction_samples: tuple[tuple[float, float], ...] | None = None
 
 
 # --- exact propagation of (y, y') -----------------------------------------
@@ -213,9 +200,9 @@ def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> Eige
     |theta(1; lambda) - target| is rounding noise that a stiff potential can
     keep above any fixed tolerance.  The returned eigenvalue is the bracket
     end with the smaller residual.  Raises BracketNotFound when a bracket
-    end, or theta there, is not finite.  A pass of the benchmark's
-    ``certify`` inputs takes 228 theta-evaluations (418 by Illinois regula
-    falsi from (-1, 1)).
+    end, or theta there, is not finite, or when 400 Brent steps leave the
+    bracket wider than its stop width.  A pass of the benchmark's
+    ``certify`` inputs takes 228 theta-evaluations.
     """
     cells, w0 = _segments(q)
     dy0 = bc.k0sq - w0
@@ -328,6 +315,8 @@ def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
         cur += step if abs(step) > delta else math.copysign(delta, half)
         f_cur = f(cur)
         iterations += 1
+    else:
+        raise BracketNotFound(f"bracket [{lo!r}, {hi!r}] wider than {tol!r} after 400 steps")
 
     lam, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
     return EigenResult(lambda1=lam, residual=residual, bracket=(lo, hi),
@@ -381,15 +370,20 @@ def lambda1_zero(bc: RobinBC) -> float:
     For omega^2 = lambda > 0 the eigencondition reads
     tan(omega) (omega^2 - k0^2 k1^2) = omega (k0^2 + k1^2); multiplying by
     cos(omega) removes the pole at omega = pi/2, and the single root in
-    (0, pi) is found by bisection.  The Neumann case returns exactly 0.
+    (0, pi) is found by bisection.  Where k0^2 k1^2 or pi (k0^2 + k1^2)
+    overflows, it reads chi / max(k0^2, k1^2) instead, which cannot.  The
+    Neumann case returns exactly 0.
     """
     a = bc.k0sq * bc.k1sq
     b = bc.k0sq + bc.k1sq
     if b == 0.0:
         return 0.0
+    # chi / s, which at s = 1 is chi to the bit
+    s = 1.0 if math.isfinite(a) and math.isfinite(math.pi * b) else max(bc.k0sq, bc.k1sq)
+    a, b = bc.k0sq * (bc.k1sq / s), bc.k0sq / s + bc.k1sq / s
 
     def chi(w: float) -> float:
-        return math.sin(w) * (w * w - a) - b * w * math.cos(w)
+        return math.sin(w) * (w * (w / s) - a) - b * w * math.cos(w)
 
     lo, hi = 1e-12, math.pi
     # chi < 0 near 0 (expansion -omega (a + b)), chi(pi) = pi b > 0

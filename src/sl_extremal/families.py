@@ -23,14 +23,13 @@ direct coordinate search on the constraint manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import operator
 
 import numpy as np
 
 from .eigensolver import RobinBC, _solve, _theta_end_prepared, lambda1, lambda1_zero
-from .jsonio import to_csv
 from .potentials import StepPotential, _kappa, _normalized, normalize_gamma, pnorm
 
 __all__ = [
@@ -58,7 +57,6 @@ class VerificationError(RuntimeError):
     """A verification protocol's built-in assertion failed."""
 
 
-CSV_HEADER = ["n_or_rho", "lambda1", "reference", "gap"]
 _CEILING_TOL = 1e-8  # verify_thm2: slack on the ceiling and on the gap's decrease
 _MEMBERSHIP_TOL = 1e-10  # verify_thm1: largest | ||q||_gamma - 1 | of a train
 _FLOOR = 0.1  # verify_thm1: constant floor under every spike train
@@ -73,12 +71,6 @@ class TableRow:
     reference: float
     gap: float
 
-    def as_list(self) -> list[float]:
-        return [self.n_or_rho, self.lambda1, self.reference, self.gap]
-
-    def to_dict(self) -> dict:
-        return dict(zip(CSV_HEADER, self.as_list()))
-
 
 @dataclass(frozen=True)
 class ConvergenceTable:
@@ -87,12 +79,6 @@ class ConvergenceTable:
 
     rows: tuple[TableRow, ...]
     details: tuple[dict, ...] = ()
-
-    def to_csv(self) -> str:
-        return to_csv(CSV_HEADER, (r.as_list() for r in self.rows))
-
-    def to_dicts(self) -> list[dict]:
-        return [r.to_dict() for r in self.rows]
 
 
 # --- the explicit families ---------------------------------------------------
@@ -394,14 +380,6 @@ class SearchResult:
     best_lambda: float
     trace: tuple[tuple[int, float], ...]
     evaluations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "best_lambda": self.best_lambda,
-            "best_q": self.best_q.to_dict(),
-            "evaluations": self.evaluations,
-            "trace": [[i, v] for i, v in self.trace],
-        }
 
 
 def _terms(h: list, w: list, gamma: float) -> tuple[list, float] | None:

@@ -154,17 +154,6 @@ class StepPotential:
         return StepPotential(self.breakpoints, self.heights * factor,
                              [(s, w * factor) for s, w in self.deltas])
 
-    def to_dict(self) -> dict:
-        out = {"breakpoints": self.breakpoints.tolist(), "heights": self.heights.tolist()}
-        if self.deltas:
-            out["deltas"] = [{"site": s, "weight": w} for s, w in self.deltas]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StepPotential":
-        return StepPotential(data["breakpoints"], data["heights"],
-                             [(d["site"], d["weight"]) for d in data.get("deltas", [])])
-
 
 class Potential(StepPotential):
     """``Potential(step, deltas)`` is the StepPotential ``step`` with the point

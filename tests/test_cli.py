@@ -8,9 +8,20 @@ from types import SimpleNamespace
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
-from sl_extremal import lambda1_zero, RobinBC
+from sl_extremal import (
+    ExtremumSearchSpec,
+    RobinBC,
+    SpikeTrainSpec,
+    StepPotential,
+    lambda1_zero,
+    search_extremum,
+    statement1_family,
+    statement2_family,
+    statement3_family,
+)
 from sl_extremal import cli, families
 from sl_extremal.cli import main
 from sl_extremal.jsonio import dumps, fmt_float, to_csv
@@ -34,6 +45,14 @@ def check_schema(text: str):
     payload = json.loads(text)
     jsonschema.validate(payload, SCHEMA)
     return payload
+
+
+def assert_reads_back(q_json: dict, q: StepPotential):
+    """The printed q, passed back as --q-json, holds q's arrays bit for bit."""
+    args = SimpleNamespace(q_json=json.dumps(q_json), q_file=None)
+    back = cli._parse_potential(args)
+    assert np.array_equal(back.breakpoints, q.breakpoints)
+    assert np.array_equal(back.heights, q.heights) and back.deltas == ()
 
 
 class TestEig:
@@ -226,6 +245,19 @@ print(repr(lambda1_fd(q, RobinBC(1.0, 4.0), 512)), "scipy" in sys.modules, "mpma
             "-3.1486812579155528 True False False",
         ]
 
+    def test_package_import_loads_neither_cli_nor_jsonio(self):
+        # the output format lives in the CLI alone
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sl_extremal; "
+             "print(sorted(m for m in sys.modules if m in "
+             "('sl_extremal.cli', 'sl_extremal.jsonio')))"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
 
 class TestFamily:
     def test_statement1_example(self, capsys):
@@ -261,6 +293,18 @@ class TestFamily:
         assert code == 2
         check_schema(err)
 
+    @pytest.mark.parametrize("argv, built", [
+        (["--statement", "1", "--gamma", "0.5", "--zeta", "0.3", "--n", "7"],
+         lambda: statement1_family(0.3, 7, 0.5)[0]),
+        (["--statement", "2", "--gamma", "0.5", "--rho-star", "10", "--height", "1e6"],
+         lambda: statement2_family(SpikeTrainSpec(10.0, 0.1, 100, 1e6, 0.75), 0.5)[0]),
+        (["--statement", "3", "--gamma", "3", "--n", "7"], lambda: statement3_family(3.0, 7)),
+    ])
+    def test_q_reads_back_through_q_json(self, capsys, argv, built):
+        code, out, _ = run_cli(capsys, "family", *argv)
+        assert code == 0
+        assert_reads_back(json.loads(out)["q"], built())
+
 
 class TestVerifyCommands:
     def test_thm2_csv_table(self, capsys):
@@ -282,6 +326,13 @@ class TestVerifyCommands:
         )
         assert code == 0
         check_schema(out)
+
+    def test_thm2_with_coefficients_beyond_the_float_range(self, capsys):
+        # lambda1_zero read (pi/2)^2 here, below every row: a false ceiling error
+        code, out, err = run_cli(capsys, "verify-thm2", "--gamma", "2", "--k0sq", "1e308",
+                                 "--k1sq", "1e308", "--n", "10,100")
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[1].split(",")[2]) == pytest.approx(math.pi**2, rel=1e-13)
 
     def test_thm1_csv_and_json(self, capsys):
         code, out, _ = run_cli(
@@ -362,6 +413,13 @@ class TestSearch:
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "iteration,best_lambda"
+
+    def test_best_q_reads_back_through_q_json(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=4, max_iters=25)
+        assert_reads_back(json.loads(out)["best_q"],
+                          search_extremum(spec, RobinBC(1, 1)).best_q)
 
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run_cli(capsys, *self.ARGS)
@@ -631,8 +689,6 @@ class TestOutputHandling:
 
 class TestJsonIO:
     def test_fmt_float_round_trips(self):
-        import numpy as np
-
         rng = np.random.default_rng(61)
         for _ in range(200):
             x = float(rng.normal(scale=10.0 ** rng.integers(-8, 9)))

@@ -178,6 +178,17 @@ class TestLambda1Zero:
         for bc in (RobinBC(0.5, 2.0), RobinBC(10, 10), RobinBC(100, 3)):
             assert 0.0 < lambda1_zero(bc) < math.pi**2
 
+    # k0^2 k1^2 or pi (k0^2 + k1^2) overflows: (1e308, 1e308) read (pi/2)^2
+    # and (1e308, 1) 3.2317 where the roots are near pi^2 and 4.1159
+    @pytest.mark.parametrize("k0sq, k1sq", [
+        (1e308, 1e308), (sys.float_info.max, sys.float_info.max), (1e308, 1.0),
+        (1.0, 1e308), (1e308, 0.0), (1e200, 1e200),
+    ])
+    def test_coefficients_beyond_the_float_range(self, k0sq, k1sq):
+        bc = RobinBC(k0sq, k1sq)
+        got = lambda1(StepPotential.constant(0.0), bc).lambda1
+        assert lambda1_zero(bc) == pytest.approx(got, rel=1e-13, abs=0.0)
+
 
 class TestLambda1:
     def test_neumann_zero_potential(self):
@@ -285,13 +296,12 @@ class TestLambda1:
                           [0.0, -1e150, 0.0, -1e150, 0.0])
         assert lambda1(q, BC00).lambda1 == pytest.approx(4.0 * math.pi**2, rel=1e-12)
 
-    def test_result_serialization(self):
-        res = lambda1(StepPotential.constant(2.0), BC11, eigenfunction_samples=16)
-        data = res.to_dict()
-        assert set(data) == {
-            "lambda1", "residual", "bracket", "iterations", "eigenfunction_samples"
-        }
-        assert len(data["eigenfunction_samples"]) == 17
+    def test_brent_steps_that_leave_a_wide_bracket_raise(self):
+        # from (-1e300, 1e300) the 400 steps end with a bracket 5.3e218 wide,
+        # which was returned as lambda_1 = -1.99e218
+        cells, w0 = eigensolver._segments(StepPotential.constant(0.0))
+        with pytest.raises(BracketNotFound, match="after 400 steps"):
+            eigensolver._solve(cells, BC11.k0sq - w0, BC11.theta_target, -1e300, 1e300)
 
 
 class TestExactPropagation:

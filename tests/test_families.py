@@ -14,6 +14,7 @@ from sl_extremal import (
     RobinBC,
     SpikeTrainSpec,
     StepPotential,
+    TableRow,
     ZeroPotential,
     lambda1,
     lambda1_fd,
@@ -30,7 +31,7 @@ from sl_extremal import (
 )
 from sl_extremal import eigensolver, families
 from sl_extremal.potentials import _normalized
-from sl_extremal.families import CSV_HEADER, _rescaled, statement2_budget
+from sl_extremal.families import _rescaled, statement2_budget
 
 from conftest import random_positive_step
 
@@ -225,12 +226,6 @@ class TestVerifyThm2:
         gaps = [r.gap for r in table.rows]
         assert all(a >= b - 1e-8 for a, b in zip(gaps, gaps[1:]))
 
-    def test_csv_contract(self):
-        table = verify_thm2(2.0, BC11, [10, 100])
-        lines = table.to_csv().strip().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
-        assert len(lines) == 3
-
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
             verify_thm2(0.5, BC11, [10])
@@ -250,7 +245,7 @@ class TestVerifyThm1:
         thm2 = verify_thm2(2.0, BC00, [10])
         assert type(thm1) is ConvergenceTable and type(thm2) is ConvergenceTable
         assert len(thm1.details) == 1 and thm2.details == ()
-        assert thm1.to_csv().splitlines()[0] == thm2.to_csv().splitlines()[0]
+        assert {type(r) for r in thm1.rows + thm2.rows} == {TableRow}
 
     def test_levels_strictly_decreasing(self):
         table = verify_thm1(0.5, BC00, [10.0, 100.0])

@@ -1,5 +1,5 @@
-import json
 import math
+from types import SimpleNamespace
 import warnings
 
 import numpy as np
@@ -15,6 +15,8 @@ from sl_extremal import (
     normalize_gamma,
     pnorm,
 )
+from sl_extremal import cli
+from sl_extremal.jsonio import dumps
 from sl_extremal.potentials import _cell_values, _cells, _kappa, _pnorm, _refine
 
 from conftest import random_positive_step
@@ -61,7 +63,7 @@ class TestConstruction:
         assert pot.deltas[1].weight == 3.0
         # inherited constructors build a StepPotential, not a Potential
         for q in (Potential.constant(1.0), Potential.from_uniform_cells([1.0, 2.0]),
-                  Potential.from_dict(pot.to_dict()), Potential.pure_delta(0.5, 1.0),
+                  Potential.pure_delta(0.5, 1.0),
                   pot.scaled(2.0)):
             assert type(q) is StepPotential
 
@@ -383,21 +385,29 @@ class TestRefineCommon:
 
 
 class TestSerialization:
+    """The JSON form of a potential, which only the CLI reads and writes."""
+
+    @staticmethod
+    def parse(text: str) -> StepPotential:
+        return cli._parse_potential(SimpleNamespace(q_json=text, q_file=None))
+
     def test_round_trip_is_lossless(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             q = random_positive_step(rng)
             pot = Potential(q, [DeltaComponent(float(rng.uniform(0, 1)), float(rng.uniform(0.1, 3)))])
-            data = json.loads(json.dumps(pot.to_dict()))
-            back = StepPotential.from_dict(data)
+            back = self.parse(dumps({
+                **cli._step_json(pot),
+                "deltas": [{"site": s, "weight": w} for s, w in pot.deltas],
+            }))
             assert np.array_equal(back.breakpoints, pot.breakpoints)
             assert np.array_equal(back.heights, pot.heights)
             assert back.deltas == pot.deltas
 
     def test_step_dict_shape(self):
-        d = StepPotential([0.0, 0.5, 1.0], [1.0, 2.0]).to_dict()
+        d = cli._step_json(StepPotential([0.0, 0.5, 1.0], [1.0, 2.0]))
         assert d == {"breakpoints": [0.0, 0.5, 1.0], "heights": [1.0, 2.0]}
 
-    def test_from_dict_accepts_missing_deltas(self):
-        pot = StepPotential.from_dict({"breakpoints": [0.0, 1.0], "heights": [3.0]})
+    def test_parse_accepts_missing_deltas(self):
+        pot = self.parse('{"breakpoints": [0.0, 1.0], "heights": [3.0]}')
         assert pot.deltas == ()

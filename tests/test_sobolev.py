@@ -7,6 +7,7 @@ with ||z||_{W^1_2} <= 1, so every piecewise-linear z bounds it from below.
 """
 
 import math
+from types import SimpleNamespace
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ from sl_extremal import (
     wminus1_dist,
     wminus1_norm,
 )
+from sl_extremal import cli
+from sl_extremal.jsonio import dumps
 from sl_extremal.sobolev import _G_SERIES, _energy
 
 from conftest import common_cells
@@ -460,10 +463,21 @@ class TestSignedMeasureType:
         assert pot.deltas == ((0.7, 3.0),)
 
     def test_round_trip(self):
-        m = StepPotential([0.0, 0.25, 1.0], [1.5, -2.5], [(0.5, -1.0)])
-        back = StepPotential.from_dict(m.to_dict())
-        assert np.array_equal(back.heights, m.heights)
-        assert back.deltas == m.deltas
+        # random signed steps and masses, written as the CLI prints floats,
+        # parse back bit for bit through --q-json with signed input allowed
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            k, n = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            bp = [0.0, *np.sort(rng.uniform(0.0, 1.0, k - 1)).tolist(), 1.0]
+            heights = (rng.normal(size=k) * 10.0 ** rng.integers(-5, 6, k)).tolist()
+            deltas = [{"site": s, "weight": w}
+                      for s, w in zip(rng.uniform(0.0, 1.0, n).tolist(), rng.normal(size=n).tolist())]
+            text = dumps({"breakpoints": bp, "heights": heights, "deltas": deltas})
+            back = cli._parse_potential(SimpleNamespace(q_json=text, q_file=None), signed=True)
+            m = StepPotential(bp, heights, [(d["site"], d["weight"]) for d in deltas])
+            assert np.array_equal(back.breakpoints, m.breakpoints)
+            assert np.array_equal(back.heights, m.heights)
+            assert back.deltas == m.deltas
 
     def test_validation(self):
         with pytest.raises(ValueError):
