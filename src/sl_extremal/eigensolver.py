@@ -8,21 +8,16 @@ y' = rho cos(theta), the angle obeys
 
 theta(0) = arccot(k0^2), and lambda_1 is the unique lambda at which theta(1)
 first reaches pi - arccot(k1^2); theta(1; lambda) is strictly increasing in
-lambda.  The angle is never carried from cell to cell: one walk carries the
-state (j, y, y') with y >= 0 and leaves theta = j*pi + atan2(y, y') implicit.
-On a cell where c = lambda + q is constant, y'' + c y = 0 has a closed-form
-solution, so the state is advanced exactly (Pruess, SIAM J. Numer. Anal. 10,
-1973; Pryce, "Numerical Solution of Sturm-Liouville Problems", 1993): where
-sqrt(c) * length > 1 the scaled angle atan2(sqrt(c) y, y') grows by
-sqrt(c) * length, and elsewhere (y, y') maps linearly through cos/sin or
-cosh/sinh, with a negative new y adding one to j.  A point mass
-w * delta(x - site) subtracts w y from y'.  A power-of-two rescale keeps
-|y| + |y'| inside [2^-500, 2^500], so nothing under- or overflows.
-theta(1; lambda) is thus exact up to rounding for every step + delta
-potential, and lambda_1 is found by Brent's method on a sign-change bracket,
-doubled outward from just below the Rayleigh quotient of the constant
-function.  The eigenfunction sampler runs the same walk over the cells cut at
-the samples too.
+lambda.  Every theta-walk -- ``theta_end``, ``lambda1``, its eigenfunction
+sampler and the extremum search -- reads one shooting problem, ``_Shot``: the
+cells, the start state and the target.  Its walk (``_walk``) carries the
+state (j, y, y') with y >= 0, never the angle, advanced exactly on each
+constant cell by the closed-form solution (Pruess, SIAM J. Numer. Anal. 10,
+1973; Pryce, "Numerical Solution of Sturm-Liouville Problems", 1993) and
+rescaled by powers of two, so theta(1; lambda) is exact up to rounding for
+every step + delta potential.  lambda_1 is found by Brent's method on a
+sign-change bracket, doubled outward from just below the Rayleigh quotient of
+the constant function.
 
 The independent cross-check ``lambda1_fd`` discretizes the quadratic form by
 P1 finite elements on a mesh fitted to the breakpoints and mass sites and on
@@ -40,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,13 +101,6 @@ _HUGE = 2.0**500
 _TINY = 2.0**-500
 
 
-def _segments(q: StepPotential) -> tuple[list[tuple[float, float, float]], float]:
-    """(cells, w0): ``_walk``'s (length, height, w) per cell of ``_cells(q)``,
-    w the point mass at the cell's right end, and w0 the point mass at x = 0."""
-    x, s, w = _cells(q)
-    return list(zip(np.diff(x).tolist(), s.tolist(), w[1:].tolist())), float(w[0])
-
-
 def _walk(cells, lam, j, y, dy, e):
     """Carry the shooting state (j, y, dy, e) across ``cells`` at ``lam``.
 
@@ -165,21 +154,150 @@ def _walk(cells, lam, j, y, dy, e):
     return j, y, dy, e
 
 
-def _theta_end_prepared(cells, dy0, lam) -> float:
-    """theta(1; lam) from the start (y, y') = (1, dy0) at x = 0."""
-    j, y, dy, _ = _walk(cells, lam, 0, 1.0, dy0, 0)
-    return j * math.pi + math.atan2(y, dy)
+class _Shot(NamedTuple):
+    """One shooting problem (Pryce 1993, ch. 5): ``_walk``'s cells, and their
+    lengths and masses for ``with_heights``; the start (y, y') = (1, k0^2 - w0),
+    w0 the mass at 0, as the state (y0, dy0, e0) rescaled into [2^-500, 2^500]
+    like every later state (from y' near max float the first cell overflows);
+    the target pi - arccot(k1^2); and robin = k0^2 - w0 + k1^2, the constant's
+    Rayleigh quotient less the cells' part."""
+
+    cells: list
+    lengths: list
+    masses: list
+    y0: float
+    dy0: float
+    e0: int
+    target: float
+    robin: float
+
+    @classmethod
+    def on(cls, bc: RobinBC, x, s, w) -> "_Shot":
+        """The shot on the cell decomposition (x, s, w) of ``_cells``."""
+        slope = bc.k0sq - float(w[0])
+        e0 = math.frexp(1.0 + abs(slope))[1] if 1.0 + abs(slope) > _HUGE else 0
+        lengths, masses = np.diff(x).tolist(), w[1:].tolist()
+        return cls(list(zip(lengths, s.tolist(), masses)), lengths, masses, math.ldexp(1.0, -e0),
+                   math.ldexp(slope, -e0), e0, bc.theta_target, slope + bc.k1sq)
+
+    def with_heights(self, heights) -> "_Shot":
+        """The shot at cell heights ``heights``; built per search proposal, so by tuple.__new__."""
+        return tuple.__new__(_Shot, (list(zip(self.lengths, heights, self.masses)), *self[1:]))
+
+    def miss(self, lam: float) -> float:
+        """theta(1; lam) - target, by one walk of the cells from the start."""
+        j, y, dy, _ = _walk(self.cells, lam, 0, self.y0, self.dy0, 0)
+        return j * math.pi + math.atan2(y, dy) - self.target
+
+    def start(self):
+        """(lo, hi, f_lo or None) for ``solve`` to start from.
+
+        R = k0^2 + k1^2 - int q - sum w, the quotient of y = 1, bounds lambda_1
+        from above, and (R - max(1, 1e-2 |R|), R) is the start, its lower end
+        clamped to -max float.  A lower end above 1 is kept only where theta
+        there is below the target: a root further down may lie at any scale
+        below R, and doubling down from R would enclose it in a bracket as wide
+        as R (Robin coefficients of 1e100 put R at 2e100 and lambda_1 near
+        pi^2).  There, and where R is not finite or the clamp leaves no
+        interval, the start is (-1, 1), doubled out to the root's scale.
+        """
+        r = self.robin - sum(length * height + w for length, height, w in self.cells)
+        lo = max(r - max(1.0, 1e-2 * abs(r)), -sys.float_info.max)
+        if not -math.inf < lo < r:  # False for NaN too
+            return -1.0, 1.0, None
+        if lo <= 1.0:
+            return lo, r, None
+        try:
+            f_lo = self.miss(lo)
+        except (OverflowError, ValueError):  # lo + q overflows
+            return -1.0, 1.0, None
+        return (lo, r, f_lo) if f_lo < 0.0 else (-1.0, 1.0, None)
+
+    def solve(self, lo: float, hi: float, f_lo=None, f_hi=None) -> EigenResult:
+        """``lambda1``'s bracket doubling and Brent iteration from the start
+        bracket lo < hi; f_lo or f_hi, when given, is ``miss`` at lo or hi,
+        which is then not evaluated again.
+
+        Brent's method (Brent, "Algorithms for Minimization without
+        Derivatives", 1973, ch. 4; the algorithm of scipy's brentq) keeps the
+        bracket as {cur, blk}, cur the end with the smaller residual, and pre
+        the previous iterate.  It steps from cur by the secant through cur and
+        blk, or by inverse quadratic interpolation through pre, cur and blk
+        where pre is a third point.  It bisects instead when that step would
+        leave the three quarters of the bracket next to cur or fails to halve
+        the step before last, and it steps at least a quarter of the stop width
+        toward blk, so the last step straddles the root."""
+
+        def f_end(lam: float, side: str) -> float:
+            """miss at a new bracket end; BracketNotFound where lam, some lam + q
+            or theta there is not finite."""
+            try:
+                value = self.miss(lam) if math.isfinite(lam) else math.nan
+            except (OverflowError, ValueError):  # math.floor of an inf or NaN angle
+                value = math.nan
+            if not math.isfinite(value):
+                raise BracketNotFound(f"no {side} bracket endpoint after {expansions} expansions")
+            return value
+
+        expansions = 0
+        if f_lo is None:
+            f_lo = f_end(lo, "lower")
+        while f_lo >= 0.0:
+            lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
+            f_lo = f_end(lo, "lower")
+            expansions += 1
+        if f_hi is None:  # only where the start's lower end is below the root
+            f_hi = f_end(hi, "upper")
+        while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
+            lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
+            f_hi = f_end(hi, "upper")
+            expansions += 1
+
+        iterations = expansions
+        pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
+        for _ in range(400):
+            if (f_pre < 0.0) != (f_cur < 0.0):  # cur crossed the root: pre is the other end
+                blk, f_blk = pre, f_pre
+                step = last = cur - pre
+            if abs(f_blk) < abs(f_cur):
+                pre, f_pre, cur, f_cur, blk, f_blk = cur, f_cur, blk, f_blk, cur, f_cur
+            lo, f_lo, hi, f_hi = ((cur, f_cur, blk, f_blk) if f_cur < 0.0
+                                  else (blk, f_blk, cur, f_cur))
+            tol = 1e-13 * max(1.0, abs(lo), abs(hi))
+            if hi - lo <= tol:
+                break
+            delta = 0.25 * tol  # the least step
+            half = 0.5 * blk - 0.5 * cur  # blk - cur can overflow
+            trial = None
+            if abs(last) > delta and abs(f_cur) < abs(f_pre):
+                if pre == blk:  # secant
+                    trial = -f_cur * (cur - pre) / (f_cur - f_pre)
+                else:  # inverse quadratic interpolation
+                    d_pre = (f_pre - f_cur) / (pre - cur)
+                    d_blk = (f_blk - f_cur) / (blk - cur)
+                    den = d_blk * d_pre * (f_blk - f_pre)
+                    if den != 0.0:  # the slopes can underflow where |lambda| is huge
+                        trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den
+            if trial is not None and 2.0 * abs(trial) < min(abs(last), 3.0 * abs(half) - delta):
+                last, step = step, trial
+            else:
+                last = step = half
+            pre, f_pre = cur, f_cur
+            cur += step if abs(step) > delta else math.copysign(delta, half)
+            f_cur = self.miss(cur)
+            iterations += 1
+        else:
+            raise BracketNotFound(f"bracket [{lo!r}, {hi!r}] wider than {tol!r} after 400 steps")
+
+        lam, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
+        return EigenResult(lambda1=lam, residual=residual, bracket=(lo, hi),
+                           iterations=iterations)
 
 
 def theta_end(q, bc: RobinBC, lam: float) -> float:
-    """Prufer angle theta(1; lambda) for the shooting problem.
-
-    Carries (y, y') from (1, k0^2) at x = 0 with the closed-form solution on
-    each constant cell and the jump y'(site+) = y'(site-) - w y(site) at
-    point masses, so the value is exact up to rounding.
-    """
-    cells, w0 = _segments(q)
-    return _theta_end_prepared(cells, bc.k0sq - w0, lam)
+    """Prufer angle theta(1; lambda) from (y, y') = (1, k0^2 - w0) at x = 0, w0 the
+    mass there, exact up to rounding: the shot's miss against target 0 (x - 0 is x)."""
+    return _Shot.on(bc, *_cells(q))._replace(target=0.0).miss(lam)
 
 
 # --- eigenvalue via Brent's method -----------------------------------------
@@ -188,168 +306,50 @@ def lambda1(q, bc: RobinBC, *, eigenfunction_samples: int | None = None) -> Eige
     """First eigenvalue of the problem, found by shooting.
 
     theta(1; lambda) is strictly increasing in lambda, so the equation
-    theta(1; lambda) = pi - arccot(k1^2) has exactly one solution.  The
-    search starts from (R - max(1, 1e-2 |R|), R), where R = k0^2 + k1^2 -
-    int q - sum w is the Rayleigh quotient of the constant function and so
-    bounds lambda_1 from above (min-max), or from (-1, 1) where R is no
-    guide to lambda_1's scale (``_start``).  ``_solve`` doubles the bracket
-    outward until it encloses the root and then runs Brent's method, which
-    keeps theta(1; lo) < target <= theta(1; hi) at every step and stops
-    once the bracket is at most 1e-13 * max(1, |lo|, |hi|) wide.  There is no
-    residual condition: theta is exact, so the residual
+    theta(1; lambda) = pi - arccot(k1^2) has exactly one solution, which
+    ``_Shot.start`` brackets from just below R = k0^2 + k1^2 - int q - sum w,
+    the Rayleigh quotient of the constant function.  ``_Shot.solve`` runs
+    Brent's method until the bracket is at most 1e-13 * max(1, |lo|, |hi|)
+    wide; there is no residual condition, as theta is exact and the residual
     |theta(1; lambda) - target| is rounding noise that a stiff potential can
-    keep above any fixed tolerance.  The returned eigenvalue is the bracket
-    end with the smaller residual.  Raises BracketNotFound when a bracket
-    end, or theta there, is not finite, or when 400 Brent steps leave the
-    bracket wider than its stop width.  A pass of the benchmark's
-    ``certify`` inputs takes 228 theta-evaluations.
+    keep above any fixed tolerance.  It returns the bracket end with the
+    smaller residual, and raises BracketNotFound when a bracket end or theta
+    there is not finite, or 400 Brent steps leave the bracket wider than the
+    stop width.  A pass of the benchmark's ``certify`` inputs takes 228 walks.
     """
-    cells, w0 = _segments(q)
-    dy0 = bc.k0sq - w0
-    target = bc.theta_target
-    res = _solve(cells, dy0, target, *_start(cells, dy0, bc.k1sq, target))
+    shot = _Shot.on(bc, *_cells(q))
+    res = shot.solve(*shot.start())
     if eigenfunction_samples is None:
         return res
     return replace(res, eigenfunction_samples=_eigenfunction(
-        q, dy0, res.lambda1, eigenfunction_samples))
+        q, bc, res.lambda1, eigenfunction_samples))
 
 
-def _start(cells, dy0, k1sq, target):
-    """(lo, hi, f_lo or None) for ``_solve`` to start from.
-
-    R = k0^2 + k1^2 - int q - sum w, the quotient of y = 1, bounds lambda_1
-    from above, and (R - max(1, 1e-2 |R|), R) is the start, its lower end
-    clamped to -max float.  A lower end above 1 is kept only where theta
-    there is below the target: a root further down may lie at any scale
-    below R, and doubling down from R would enclose it in a bracket as wide
-    as R (Robin coefficients of 1e100 put R at 2e100 and lambda_1 near
-    pi^2).  There, and where R is not finite or the clamp leaves no
-    interval, the start is (-1, 1), doubled out to the root's scale.
-    """
-    r = dy0 + k1sq - sum(length * height + w for length, height, w in cells)
-    lo = max(r - max(1.0, 1e-2 * abs(r)), -sys.float_info.max)
-    if not -math.inf < lo < r:  # False for NaN too
-        return -1.0, 1.0, None
-    if lo <= 1.0:
-        return lo, r, None
-    try:
-        f_lo = _theta_end_prepared(cells, dy0, lo) - target
-    except (OverflowError, ValueError):  # lo + q overflows
-        return -1.0, 1.0, None
-    return (lo, r, f_lo) if f_lo < 0.0 else (-1.0, 1.0, None)
-
-
-def _solve(cells, dy0, target, lo, hi, f_lo=None, f_hi=None) -> EigenResult:
-    """``lambda1``'s bracket doubling and Brent iteration on prepared cells
-    from the start bracket lo < hi; f_lo or f_hi, when given, is
-    theta(1; lo) - target or theta(1; hi) - target, which is then not
-    evaluated again.
-
-    Brent's method (Brent, "Algorithms for Minimization without
-    Derivatives", 1973, ch. 4; the algorithm of scipy's brentq) keeps the
-    bracket as {cur, blk}, cur the end with the smaller residual, and pre
-    the previous iterate.  It steps from cur by the secant through cur and
-    blk, or by inverse quadratic interpolation through pre, cur and blk
-    where pre is a third point.  It bisects instead when that step would
-    leave the three quarters of the bracket next to cur or fails to halve
-    the step before last, and it steps at least a quarter of the stop width
-    toward blk, so the last step straddles the root."""
-
-    def f(lam: float) -> float:
-        return _theta_end_prepared(cells, dy0, lam) - target
-
-    def f_end(lam: float, side: str) -> float:
-        """f at a new bracket end; BracketNotFound where lam, some lam + q or
-        theta there is not finite."""
-        try:
-            value = f(lam) if math.isfinite(lam) else math.nan
-        except (OverflowError, ValueError):  # math.floor of an inf or NaN angle
-            value = math.nan
-        if not math.isfinite(value):
-            raise BracketNotFound(f"no {side} bracket endpoint after {expansions} expansions")
-        return value
-
-    expansions = 0
-    if f_lo is None:
-        f_lo = f_end(lo, "lower")
-    while f_lo >= 0.0:
-        lo, hi, f_hi = lo - 2.0 * (hi - lo), lo, f_lo
-        f_lo = f_end(lo, "lower")
-        expansions += 1
-    if f_hi is None:  # only where the start's lower end is below the root
-        f_hi = f_end(hi, "upper")
-    while f_hi < 0.0:  # an end with theta exactly on target is a root: keep it
-        lo, hi, f_lo = hi, hi + 2.0 * (hi - lo), f_hi
-        f_hi = f_end(hi, "upper")
-        expansions += 1
-
-    iterations = expansions
-    pre, f_pre, cur, f_cur = lo, f_lo, hi, f_hi
-    for _ in range(400):
-        if (f_pre < 0.0) != (f_cur < 0.0):  # cur crossed the root: pre is the other end
-            blk, f_blk = pre, f_pre
-            step = last = cur - pre
-        if abs(f_blk) < abs(f_cur):
-            pre, f_pre, cur, f_cur, blk, f_blk = cur, f_cur, blk, f_blk, cur, f_cur
-        lo, f_lo, hi, f_hi = (cur, f_cur, blk, f_blk) if f_cur < 0.0 else (blk, f_blk, cur, f_cur)
-        tol = 1e-13 * max(1.0, abs(lo), abs(hi))
-        if hi - lo <= tol:
-            break
-        delta = 0.25 * tol  # the least step
-        half = 0.5 * blk - 0.5 * cur  # blk - cur can overflow
-        trial = None
-        if abs(last) > delta and abs(f_cur) < abs(f_pre):
-            if pre == blk:  # secant
-                trial = -f_cur * (cur - pre) / (f_cur - f_pre)
-            else:  # inverse quadratic interpolation
-                d_pre = (f_pre - f_cur) / (pre - cur)
-                d_blk = (f_blk - f_cur) / (blk - cur)
-                den = d_blk * d_pre * (f_blk - f_pre)
-                if den != 0.0:  # the slopes can underflow where |lambda| is huge
-                    trial = -f_cur * (f_blk * d_blk - f_pre * d_pre) / den
-        if trial is not None and 2.0 * abs(trial) < min(abs(last), 3.0 * abs(half) - delta):
-            last, step = step, trial
-        else:
-            last = step = half
-        pre, f_pre = cur, f_cur
-        cur += step if abs(step) > delta else math.copysign(delta, half)
-        f_cur = f(cur)
-        iterations += 1
-    else:
-        raise BracketNotFound(f"bracket [{lo!r}, {hi!r}] wider than {tol!r} after 400 steps")
-
-    lam, residual = (lo, abs(f_lo)) if abs(f_lo) <= f_hi else (hi, f_hi)
-    return EigenResult(lambda1=lam, residual=residual, bracket=(lo, hi),
-                       iterations=iterations)
-
-
-def _eigenfunction(q, dy0, lam, n_samples):
-    """Sample y on the uniform grid j/n_samples at the eigenvalue ``lam``,
-    from (y, y') = (1, dy0) at x = 0 (dy0 holds any mass at 0).
-
-    ``_walk`` carries the state one cell of ``_cells(q, samples)`` at a time;
-    each cell adds back the log of the cos(kl) or cosh(kl) that the map of a
-    cell with sqrt(c) * L <= 1 divides out, so all samples share one scale.
-    The arrays are allocated first, so an n_samples beyond memory fails at once.
-    """
+def _eigenfunction(q, bc: RobinBC, lam, n_samples):
+    """Sample y on the uniform grid j/n_samples at the eigenvalue ``lam``: the
+    shot on ``_cells(q, samples)`` walked one cell at a time, each adding back
+    the log of the cos(kl) or cosh(kl) that the map of a cell with
+    sqrt(c) * L <= 1 divides out, so all samples share one scale.  The arrays
+    are allocated first, so an n_samples beyond memory fails at once."""
     if n_samples < 2:
         raise ValueError("need at least 2 sample intervals")
     n = int(n_samples)
     ys = np.empty(n + 1)
     logs = np.empty(n + 1)
-    ys[0], logs[0] = 1.0, 0.0
-    x, s, w = (a.tolist() for a in _cells(q, np.arange(n + 1) / n))
-    state = (0, 1.0, dy0, 0)
+    x, s, w = _cells(q, np.arange(n + 1) / n)
+    shot = _Shot.on(bc, x, s, w)
+    state = (0, shot.y0, shot.dy0, shot.e0)
+    ys[0], logs[0] = shot.y0, shot.e0 * _LN2
     log_scale = 0.0
     i = 1
-    for a, b, height, wb in zip(x[:-1], x[1:], s, w[1:]):
+    for b, (length, height, wb) in zip(x[1:].tolist(), shot.cells):
         c = lam + height
-        kl = math.sqrt(abs(c)) * (b - a)
+        kl = math.sqrt(abs(c)) * length
         if c < 0.0:
             log_scale += kl + math.log1p(math.exp(-2.0 * kl)) - _LN2  # log cosh
         elif kl <= 1.0:
             log_scale += math.log(math.cos(kl))
-        state = _walk(((b - a, height, wb),), lam, *state)
+        state = _walk(((length, height, wb),), lam, *state)
         if b == i / n:
             j, y, _, e = state
             ys[i] = -y if j % 2 else y

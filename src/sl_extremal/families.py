@@ -29,8 +29,8 @@ import operator
 
 import numpy as np
 
-from .eigensolver import RobinBC, _solve, _theta_end_prepared, lambda1, lambda1_zero
-from .potentials import StepPotential, _kappa, _normalized, normalize_gamma, pnorm
+from .eigensolver import RobinBC, _Shot, lambda1, lambda1_zero
+from .potentials import StepPotential, _cells, _kappa, _normalized, normalize_gamma, pnorm
 
 __all__ = [
     "SpikeTrainSpec",
@@ -423,14 +423,14 @@ def _rescaled(h: list, w: list, terms, cell: int, hc: float, gamma: float) -> li
 def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
     """Empirical probe of the extremal eigenvalue over A_gamma.
 
-    Each proposal is decided by one shooting evaluation: theta(1; lambda) is
-    strictly increasing in lambda and meets pi - arccot(k1^2) at lambda_1, so
-    theta(1; best) below the target means lambda_1(candidate) > best, and
-    above it means lambda_1(candidate) < best.  Only a proposal on the
-    improving side is solved, from a bracket with ``best`` at one end (whose
-    theta is the one just computed), and it is accepted only if the solved
-    eigenvalue is strictly better than ``best``, which rounding of a root
-    within 1e-13 of ``best`` can undo.  A proposal scales one height of the
+    Each proposal is decided by one walk of the search's ``_Shot`` with the
+    proposal's heights: ``miss`` = theta(1; lambda) - target increases in
+    lambda and vanishes at lambda_1, so its sign at ``best`` says on which
+    side of ``best`` the proposal's lambda_1 lies.  Only a proposal on the
+    improving side is solved, by its shot from a bracket with ``best`` at one
+    end (whose miss is the one just computed), and it is accepted only if the
+    solved eigenvalue is strictly better than ``best``, which rounding of a
+    root within 1e-13 of ``best`` can undo.  A proposal scales one height of the
     incumbent, kept as floats with its terms h_i^gamma - 1, updates S - 1 =
     int h^gamma - 1 by one term and divides by kappa = exp(log1p(S - 1)/gamma),
     the first branch of ``_pnorm``: about 1.2 us on 8 cells, against 11 us
@@ -451,7 +451,7 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
         q = StepPotential.from_uniform_cells(np.ones(spec.cells))
 
     sign = -1.0 if spec.mode == "min" else 1.0
-    target = bc.theta_target
+    shot = _Shot.on(bc, *_cells(q))  # start and target, kept by every proposal
     best_lam = lambda1(q, bc).lambda1
     evaluations = 1
     trace = [(0, best_lam)]
@@ -481,15 +481,15 @@ def search_extremum(spec: ExtremumSearchSpec, bc: RobinBC) -> SearchResult:
             rejects += 1
         else:
             evaluations += 1
-            cells = [(length, c, 0.0) for length, c in zip(w, cand)]
+            trial = shot.with_heights(cand)
             # the side of the target theta(1; best_lam) falls on decides the move
             lam = best_lam
-            f_best = _theta_end_prepared(cells, bc.k0sq, best_lam) - target
+            f_best = trial.miss(best_lam)
             if sign * f_best < 0.0:
                 span = max(1.0, 0.1 * abs(best_lam))
                 lo, hi = (best_lam, best_lam + span) if sign > 0 else (best_lam - span, best_lam)
                 f_lo, f_hi = (f_best, None) if sign > 0 else (None, f_best)
-                lam = _solve(cells, bc.k0sq, target, lo, hi, f_lo, f_hi).lambda1
+                lam = trial.solve(lo, hi, f_lo, f_hi).lambda1
             if sign * (lam - best_lam) > 0.0:
                 h, terms = cand, _terms(cand, w, gamma)
                 best_lam = lam

@@ -1,6 +1,8 @@
-"""The package's public names: adding or removing one must be deliberate."""
+"""The package's public names and module boundaries: changing one must be deliberate."""
 
+import ast
 import importlib
+import pathlib
 
 import sl_extremal
 
@@ -53,3 +55,20 @@ def test_every_submodule_name_is_reexported_as_the_same_object():
             assert getattr(sl_extremal, attr) is getattr(module, attr), (name, attr)
         names.update(module.__all__)
     assert names == set(sl_extremal.__all__)
+
+
+def test_only_the_shot_leaves_the_eigensolver():
+    # one shooting problem: every theta-walk outside eigensolver goes through _Shot
+    package = pathlib.Path(sl_extremal.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.stem != "eigensolver":
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
+            assert "_walk" not in names, path.name
+        private = {a.name for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.module == "eigensolver"
+                   for a in n.names if a.name.startswith("_")}
+        assert private <= ({"_Shot"} if path.stem == "families" else set()), path.name

@@ -26,7 +26,7 @@ from sl_extremal import (
 
 from sl_extremal import eigensolver
 from sl_extremal.eigensolver import _arccot, _bisect, _fitted, _p1_brackets
-from sl_extremal.potentials import _cell_values
+from sl_extremal.potentials import _cell_values, _cells
 
 from conftest import common_cells, random_step
 
@@ -146,6 +146,17 @@ class TestThetaEnd:
             if la == lb:
                 continue
             assert theta_end(q, BC11, la) < theta_end(q, BC11, lb)
+
+    @pytest.mark.parametrize("k0sq, w0", [(1.0, 1.0), (3.0, 0.5), (2.0, -4.0), (1e300, 1e299)])
+    def test_mass_at_zero_is_taken_off_k0sq(self, k0sq, w0):
+        # the walk starts from (1, k0^2 - w0): bit for bit the same problem
+        q = random_step(np.random.default_rng(11), max_height=10.0, max_cells=5)
+        with_mass = Potential(q, [(0.0, w0), (0.6, 2.0)])
+        shifted = Potential(q, [(0.6, 2.0)])
+        bc, bc0 = RobinBC(k0sq, 0.5), RobinBC(k0sq - w0, 0.5)
+        assert lambda1(with_mass, bc) == lambda1(shifted, bc0)
+        for lam in (-3.0, 0.0, 7.5):
+            assert theta_end(with_mass, bc, lam) == theta_end(shifted, bc0, lam)
 
     def test_start_angle_range(self):
         # theta(0) = arccot(k0^2)
@@ -288,6 +299,17 @@ class TestLambda1:
         res = lambda1(StepPotential.constant(0.0), RobinBC(k, k))
         assert res.lambda1 == pytest.approx(lambda1_zero(RobinBC(k, k)), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("k", [1e308, 1.2e308, 1.5e308, 1.7e308, sys.float_info.max])
+    def test_robin_coefficient_near_max_float(self, k):
+        # a start (1, k) above 2^500 overflowed the first cells unless rescaled
+        # like every later state: lambda_1 read 0.1613 at k = 1.7e308, and the
+        # samples were 0.197 off sin(pi x / 2)
+        bc = RobinBC(k, 1e-300)
+        res = lambda1(StepPotential.constant(0.0), bc, eigenfunction_samples=8)
+        assert res.lambda1 == pytest.approx(lambda1_zero(bc), rel=1e-13, abs=0.0)
+        xs, ys = np.array(res.eigenfunction_samples).T
+        assert np.max(np.abs(ys - np.sin(0.5 * math.pi * xs))) <= 1e-12
+
     def test_barriers_far_above_the_root(self):
         # heights -1e150 on 1e-12 wide cells at 1/4 and 3/4 cut [0, 1] into
         # pieces whose first eigenvalue is 4 pi^2 each, far below the
@@ -299,9 +321,9 @@ class TestLambda1:
     def test_brent_steps_that_leave_a_wide_bracket_raise(self):
         # from (-1e300, 1e300) the 400 steps end with a bracket 5.3e218 wide,
         # which was returned as lambda_1 = -1.99e218
-        cells, w0 = eigensolver._segments(StepPotential.constant(0.0))
+        shot = eigensolver._Shot.on(BC11, *_cells(StepPotential.constant(0.0)))
         with pytest.raises(BracketNotFound, match="after 400 steps"):
-            eigensolver._solve(cells, BC11.k0sq - w0, BC11.theta_target, -1e300, 1e300)
+            shot.solve(-1e300, 1e300)
 
 
 class TestExactPropagation:
@@ -472,13 +494,13 @@ class TestEvaluationBudget:
     @staticmethod
     def _walks(monkeypatch, q, bc):
         calls = []
-        original = eigensolver._theta_end_prepared
+        original = eigensolver._Shot.miss
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(eigensolver, "_theta_end_prepared", counted)
+        monkeypatch.setattr(eigensolver._Shot, "miss", counted)
         lambda1(q, bc)
         return len(calls)
 

@@ -372,11 +372,8 @@ class TestSearchExtremum:
                 return original(*args)
             return call
 
-        # the move decisions call it by the name families imported, the
-        # solves through eigensolver; setattr fails if either name is gone
-        theta = counted("theta", eigensolver._theta_end_prepared)
-        monkeypatch.setattr(eigensolver, "_theta_end_prepared", theta)
-        monkeypatch.setattr(families, "_theta_end_prepared", theta)
+        # the move decisions and the solves both walk through the shot
+        monkeypatch.setattr(eigensolver._Shot, "miss", counted("theta", eigensolver._Shot.miss))
         monkeypatch.setattr(families, "_normalized", counted("array", families._normalized))
         spec = ExtremumSearchSpec(gamma=2.0, mode="max", cells=8, max_iters=500)
         res = search_extremum(spec, BC11)
